@@ -10,7 +10,7 @@ PKGS := ./...
 SWEEP_SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 FUZZTIME ?= 30s
 
-.PHONY: build test race check lint vet fuzz testsweep bench scalebench clean
+.PHONY: build test race check lint vet deadpkgs fuzz testsweep bench scalebench clean
 
 build:
 	$(GO) build $(PKGS)
@@ -25,6 +25,19 @@ check: build vet test race
 
 vet:
 	$(GO) vet $(PKGS)
+
+# deadpkgs fails when a package with non-test Go files is linked into no
+# binary or example: code only its own tests run. It prints the
+# offenders, one import path a line, and nothing when there are none.
+deadpkgs:
+	@all=$$($(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' $(PKGS)) || exit 1; \
+	live=$$($(GO) list -deps ./cmd/... ./examples/...) || exit 1; \
+	dead=$$(printf '%s\n' "$$all" | grep -vxF -e "$$live" || true); \
+	if [ -n "$$dead" ]; then \
+		echo "$$dead"; \
+		echo "deadpkgs: packages above are imported by no cmd/ or examples/ binary" >&2; \
+		exit 1; \
+	fi
 
 # staticcheck is optional locally; CI installs a pinned version. The
 # guard keeps `make lint` useful on machines without it.

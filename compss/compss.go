@@ -113,7 +113,7 @@ type config struct {
 	nodes      []NodeSpec
 	policy     string
 	predictor  bool
-	traceLimit int
+	tracing    bool
 	provenance bool
 }
 
@@ -126,7 +126,8 @@ func WithNodes(nodes ...NodeSpec) Option {
 }
 
 // WithPolicy selects the scheduling policy by name: "fifo", "min-load",
-// "locality", "eft", "ml", "energy" (default "min-load").
+// "p2c", "locality", "eft", "ml", "energy", "wait-fast" (default "fifo";
+// unknown names also select "fifo").
 func WithPolicy(name string) Option {
 	return func(c *config) { c.policy = name }
 }
@@ -137,15 +138,9 @@ func WithPredictor() Option {
 	return func(c *config) { c.predictor = true }
 }
 
-// WithTracing enables event tracing, keeping at most limit events
-// (0 ⇒ unlimited).
-func WithTracing(limit int) Option {
-	return func(c *config) {
-		c.traceLimit = limit
-		if limit == 0 {
-			c.traceLimit = -1
-		}
-	}
+// WithTracing enables event tracing.
+func WithTracing() Option {
+	return func(c *config) { c.tracing = true }
 }
 
 // WithProvenance enables data-lineage recording (the traceability the
@@ -199,12 +194,8 @@ func New(opts ...Option) *COMPSs {
 		c.pred = mlpredict.NewPredictor(0)
 		coreCfg.Predictor = c.pred
 	}
-	if cfg.traceLimit != 0 {
-		limit := cfg.traceLimit
-		if limit < 0 {
-			limit = 0
-		}
-		c.trace = trace.New(limit)
+	if cfg.tracing {
+		c.trace = trace.New()
 		coreCfg.Tracer = c.trace
 	}
 	if cfg.provenance {

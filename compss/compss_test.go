@@ -175,7 +175,7 @@ func TestDependencyEdgesCounted(t *testing.T) {
 }
 
 func TestTracingAndProvenance(t *testing.T) {
-	c := newC(t, WithTracing(0), WithProvenance())
+	c := newC(t, WithTracing(), WithProvenance())
 	registerInt(t, c)
 	x, y := c.NewObject(), c.NewObject()
 	if _, err := c.Call("const", In(5), Write(x)); err != nil {

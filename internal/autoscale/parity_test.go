@@ -154,7 +154,7 @@ func TestParityGrowthSequence(t *testing.T) {
 		Pool:      simPool,
 		Net:       simnet.New(simnet.Link{BandwidthMBps: 1000}),
 		Policy:    sched.MinLoad{},
-		Tracer:    rtrace.New(0),
+		Tracer:    rtrace.New(),
 		Autoscale: simScaler,
 	}, specs)
 	if err != nil {
@@ -175,7 +175,7 @@ func TestParityGrowthSequence(t *testing.T) {
 	rt := core.New(core.Config{
 		Pool:      livePool,
 		Policy:    sched.MinLoad{},
-		Tracer:    rtrace.New(0),
+		Tracer:    rtrace.New(),
 		Autoscale: liveScaler,
 	})
 	if err := rt.Register(core.TaskDef{
@@ -262,7 +262,7 @@ func TestParityShrinkSequence(t *testing.T) {
 			Pool:      pool,
 			Net:       simnet.New(simnet.Link{BandwidthMBps: 1000}),
 			Policy:    sched.MinLoad{},
-			Tracer:    rtrace.New(0),
+			Tracer:    rtrace.New(),
 			Autoscale: scaler,
 		}, nil)
 		if err != nil {
@@ -274,7 +274,7 @@ func TestParityShrinkSequence(t *testing.T) {
 		rt := core.New(core.Config{
 			Pool:      pool,
 			Policy:    sched.MinLoad{},
-			Tracer:    rtrace.New(0),
+			Tracer:    rtrace.New(),
 			Autoscale: scaler,
 		})
 		t.Cleanup(rt.Shutdown)

@@ -207,11 +207,6 @@ type Config struct {
 	// partition heals, exactly like a fault-killed task's Future stays
 	// open until recovery re-executes it.
 	Availability engine.Availability
-	// DisableIndex forces the engine's legacy materialized-slice
-	// placement path even when the policy supports indexed picks
-	// (sched.IndexedPolicy). Parity-testing escape hatch; the simulator
-	// takes the identical knob.
-	DisableIndex bool
 	// Checkpoint, when set (with a Store), snapshots the engine state
 	// and the produced values to disk under the configured policy, on
 	// wall time — the same policy the simulator drives on virtual time.
@@ -331,7 +326,6 @@ func New(cfg Config) *Runtime {
 		Tracer:       cfg.Tracer,
 		Steal:        cfg.Steal,
 		Availability: cfg.Availability,
-		DisableIndex: cfg.DisableIndex,
 		SchedContext: &sched.Context{
 			Registry:  cfg.Locations,
 			Net:       cfg.Net,

@@ -349,7 +349,7 @@ func TestPredictorObservesRealDurations(t *testing.T) {
 }
 
 func TestTraceAndProvenance(t *testing.T) {
-	tr := trace.New(0)
+	tr := trace.New()
 	prov := trace.NewProvenance()
 	rt := newRT(t, Config{Tracer: tr, Provenance: prov})
 	registerArith(t, rt)
@@ -548,7 +548,7 @@ func TestLiveFailNodeRecoversChain(t *testing.T) {
 }
 
 func TestTraceEventsCarryTimestamps(t *testing.T) {
-	tr := trace.New(0)
+	tr := trace.New()
 	rt := newRT(t, Config{Tracer: tr})
 	if err := rt.Register(TaskDef{Name: "nap10", Fn: func(_ context.Context, _ []any) ([]any, error) {
 		time.Sleep(10 * time.Millisecond)

@@ -115,7 +115,7 @@ func TestCheckpointRestoreRoundTripSweep(t *testing.T) {
 			}
 
 			// Run 2: restore and finish.
-			tr2 := trace.New(0)
+			tr2 := trace.New()
 			cfg2 := simConfig(c, tr2)
 			cfg2.Restore = snap
 			sim2, err := infra.New(cfg2, c.Specs)

@@ -48,7 +48,7 @@ func sweepSimAvail(t *testing.T, c workloads.ConformanceCase, avail engine.Avail
 		spec.ID = int64(i + 2)
 		specs = append(specs, spec)
 	}
-	tr := trace.New(0)
+	tr := trace.New()
 	sim, err := infra.New(infra.Config{
 		Pool:         pool,
 		Net:          simnet.New(simnet.Link{BandwidthMBps: 1000}),
@@ -82,7 +82,7 @@ func sweepLive(t *testing.T, c workloads.ConformanceCase) sweepOutcome {
 	t.Helper()
 	pool := resources.NewPool()
 	_ = pool.Add(resources.NewNode("pn0", c.Node))
-	tr := trace.New(0)
+	tr := trace.New()
 	rt := core.New(core.Config{
 		Pool:      pool,
 		Policy:    sched.FIFO{},

@@ -559,7 +559,7 @@ func TestLiveRestoreShrunkPoolRestages(t *testing.T) {
 	_ = pool2.Add(resources.NewNode("n1", resources.Description{
 		Cores: 1, MemoryMB: 8000, SpeedFactor: 1, Class: resources.Cloud,
 	}))
-	tr := trace.New(0)
+	tr := trace.New()
 	rt2 := core.New(core.Config{
 		Pool: pool2, Policy: sched.FIFO{},
 		Locations:    transfer.NewRegistry(),

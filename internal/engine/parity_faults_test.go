@@ -58,7 +58,7 @@ type faultParityOutcome struct {
 //	After healing, e (4, cloud-pinned) reads d2: one real transfer.
 func runFaultScriptSim(t *testing.T, steal engine.StealConfig, ck *checkpoint.Config) faultParityOutcome {
 	t.Helper()
-	tr := trace.New(0)
+	tr := trace.New()
 	specs := []infra.TaskSpec{
 		{ID: 1, Class: "a", Duration: time.Second,
 			Accesses:    []deps.Access{{Data: 1, Dir: deps.Out}},
@@ -105,7 +105,7 @@ func runFaultScriptSim(t *testing.T, steal engine.StealConfig, ck *checkpoint.Co
 
 func runFaultScriptLive(t *testing.T, steal engine.StealConfig, ck *checkpoint.Config) faultParityOutcome {
 	t.Helper()
-	tr := trace.New(0)
+	tr := trace.New()
 	rt := core.New(core.Config{
 		Pool:       faultParityPool(),
 		Policy:     sched.FIFO{},
@@ -273,7 +273,7 @@ func TestFaultScriptParity(t *testing.T) {
 func TestFaultUnknownNodeParity(t *testing.T) {
 	// Simulator: the crash targets a node that never existed; the run
 	// completes and the ignored fault is on the trace.
-	tr := trace.New(0)
+	tr := trace.New()
 	sim, err := infra.New(infra.Config{
 		Pool:   faultParityPool(),
 		Net:    simnet.New(simnet.Link{BandwidthMBps: 1000}),

@@ -2,8 +2,9 @@ package engine_test
 
 // Placement-index parity: the indexed fast path (sched.IndexedPolicy
 // picking straight off the pool's capability index) must make byte-
-// identical placement decisions to the legacy materialized-slice path
-// (engine.Config.DisableIndex) wherever the policy is deterministic —
+// identical placement decisions to the materialized-slice path (the
+// same policy behind scanOnly, which hides PickIndexed) wherever the
+// policy is deterministic —
 // same start order, same node per start, same transfer books — including
 // under node crashes, cordons, partitions and checkpoint restore, the
 // churn the index maintains itself through.
@@ -45,6 +46,11 @@ func indexParityPool() (*resources.Pool, *simnet.Network) {
 	return pool, net
 }
 
+// scanOnly wraps a policy so that only the sched.Policy method set is
+// visible: the engine cannot see PickIndexed and takes the
+// materialized-slice path for every task.
+type scanOnly struct{ sched.Policy }
+
 type indexParityRun struct {
 	events    []trace.Event
 	makespan  time.Duration
@@ -52,13 +58,12 @@ type indexParityRun struct {
 	pool      *resources.Pool
 }
 
-func runIndexParity(t *testing.T, policy sched.Policy, specs []infra.TaskSpec, script faults.Scenario, disable bool) indexParityRun {
+func runIndexParity(t *testing.T, policy sched.Policy, specs []infra.TaskSpec, script faults.Scenario) indexParityRun {
 	t.Helper()
 	pool, net := indexParityPool()
-	tr := trace.New(0)
+	tr := trace.New()
 	sim, err := infra.New(infra.Config{
-		Pool: pool, Net: net, Policy: policy, Tracer: tr,
-		Faults: script, DisableIndex: disable,
+		Pool: pool, Net: net, Policy: policy, Tracer: tr, Faults: script,
 	}, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -137,11 +142,18 @@ func TestIndexParitySweep(t *testing.T) {
 		{"mix-churn", workloads.HeterogeneousMix(120, 5), crashScript},
 	}
 	for _, policy := range []sched.Policy{sched.MinLoad{}, sched.FIFO{}} {
+		if _, ok := policy.(sched.IndexedPolicy); !ok {
+			t.Fatalf("%s: not a sched.IndexedPolicy, so the indexed arm would scan", policy.Name())
+		}
+		var scan sched.Policy = scanOnly{policy}
+		if _, ok := scan.(sched.IndexedPolicy); ok {
+			t.Fatalf("%s: scanOnly still satisfies sched.IndexedPolicy, so the scan arm would take the index", policy.Name())
+		}
 		for _, tc := range cases {
 			tc := tc
 			t.Run(policy.Name()+"/"+tc.name, func(t *testing.T) {
-				indexed := runIndexParity(t, policy, tc.specs, tc.script, false)
-				scanned := runIndexParity(t, policy, tc.specs, tc.script, true)
+				indexed := runIndexParity(t, policy, tc.specs, tc.script)
+				scanned := runIndexParity(t, scan, tc.specs, tc.script)
 				diffIndexRuns(t, policy.Name()+"/"+tc.name, indexed, scanned)
 				checkPoolIndexConsistent(t, indexed.pool, tc.specs)
 			})

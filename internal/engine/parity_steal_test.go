@@ -66,7 +66,7 @@ func stolenOrder(tr *trace.Tracer) []int64 {
 // onto it. IDs: gate 1, L1 2, L2 3, S1 4.
 func runStealDAGSim(t *testing.T) stealOutcome {
 	t.Helper()
-	tr := trace.New(0)
+	tr := trace.New()
 	specs := []infra.TaskSpec{
 		{ID: 1, Class: "gate", Duration: time.Second},
 		{ID: 2, Class: "long", Duration: 100 * time.Second},
@@ -91,7 +91,7 @@ func runStealDAGSim(t *testing.T) stealOutcome {
 
 func runStealDAGLive(t *testing.T) stealOutcome {
 	t.Helper()
-	tr := trace.New(0)
+	tr := trace.New()
 	rt := core.New(core.Config{
 		Pool:      stealParityPool(),
 		Policy:    stealParityPolicy(),
@@ -158,7 +158,7 @@ func TestStealParity(t *testing.T) {
 // S1 3; start order gate, stolen S1, L1, recovered S1.
 func runStealCrashSim(t *testing.T) stealOutcome {
 	t.Helper()
-	tr := trace.New(0)
+	tr := trace.New()
 	specs := []infra.TaskSpec{
 		{ID: 1, Class: "gate", Duration: 3 * time.Second},
 		{ID: 2, Class: "long", Duration: 20 * time.Second},
@@ -187,7 +187,7 @@ func runStealCrashSim(t *testing.T) stealOutcome {
 
 func runStealCrashLive(t *testing.T) stealOutcome {
 	t.Helper()
-	tr := trace.New(0)
+	tr := trace.New()
 	rt := core.New(core.Config{
 		Pool:      stealParityPool(),
 		Policy:    stealParityPolicy(),

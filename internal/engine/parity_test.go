@@ -104,7 +104,7 @@ func runCore(t *testing.T, c parityCase) ([]int, int) {
 			Cores: 1, MemoryMB: 8000, SpeedFactor: 1, Class: class,
 		}))
 	}
-	tr := trace.New(0)
+	tr := trace.New()
 	rt := core.New(core.Config{
 		Pool:      pool,
 		Policy:    sched.FIFO{},
@@ -205,7 +205,7 @@ func runInfra(t *testing.T, c parityCase) ([]int, int) {
 			Constraints: resources.Constraints{Class: dt.class},
 		})
 	}
-	tr := trace.New(0)
+	tr := trace.New()
 	sim, err := infra.New(infra.Config{
 		Pool:   pool,
 		Net:    simnet.New(simnet.Link{BandwidthMBps: 1000}),

@@ -49,7 +49,7 @@ func TestTraceReplayDeterministic(t *testing.T) {
 	}
 	var baseline []byte
 	for run := 0; run < 5; run++ {
-		tr := trace.New(0)
+		tr := trace.New()
 		sim, err := infra.New(infra.Config{
 			Pool:   replayPool(),
 			Net:    simnet.New(simnet.Link{BandwidthMBps: 1000}),

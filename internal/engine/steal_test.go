@@ -75,7 +75,7 @@ func TestStealOffParksBucketBehindLongHead(t *testing.T) {
 }
 
 func TestStealOnIdleBypassesBlockedHead(t *testing.T) {
-	tr := trace.New(0)
+	tr := trace.New()
 	e, exec := stealEngine(t, engine.StealConfig{Mode: engine.StealOnIdle}, tr)
 	addSkew(e)
 	e.Schedule()

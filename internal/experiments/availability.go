@@ -180,7 +180,7 @@ func E15ShrunkPoolRestore(nMap, nReduce int) (E15RestoreResult, error) {
 		return res, err
 	}
 	res.Snapshotted = len(snap.Completed)
-	tr := trace.New(0)
+	tr := trace.New()
 	pool2, net2 := newPool(2)
 	sim2, err := infra.New(infra.Config{
 		Pool: pool2, Net: net2, Policy: sched.MinLoad{},

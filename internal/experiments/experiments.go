@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/deps"
+	"repro/internal/engine/faults"
 	"repro/internal/infra"
 	"repro/internal/lineage"
 	"repro/internal/mlpredict"
@@ -280,7 +281,7 @@ func E7FailureRecovery(stages, width int) ([]E7Result, error) {
 		res, err := mustRun(infra.Config{
 			Pool: pool, Net: net, Policy: sched.MinLoad{},
 			PersistNode: persistNode,
-			Failures:    []infra.Failure{{Node: "fog1", At: 3 * time.Minute}},
+			Faults:      faults.Scenario{{At: 3 * time.Minute, Kind: faults.Crash, Node: "fog1"}},
 		}, mkSpecs())
 		if err != nil {
 			return E7Result{}, err

@@ -126,7 +126,7 @@ func E14CrashRestart(chromosomes, imputations, everyN int) (E14Result, error) {
 		return res, fmt.Errorf("E14: no snapshot survived the crash: %w", err)
 	}
 	res.SnapshotTasks = len(snap.Completed)
-	tr := trace.New(0)
+	tr := trace.New()
 	cfg2 := newCfg()
 	cfg2.Restore = snap
 	cfg2.Tracer = tr

@@ -66,16 +66,6 @@ type TaskSpec struct {
 	Tenant string
 }
 
-// Failure kills a node at a virtual instant (experiment E7: "part of the
-// application failed on a fog node (disappeared for low battery or because
-// no longer in the fog area)"). It is shorthand for a faults.Scenario with
-// a single Crash event; richer scripts (slow nodes, partitions) go in
-// Config.Faults.
-type Failure struct {
-	Node string
-	At   time.Duration
-}
-
 // Config assembles a simulation.
 type Config struct {
 	// Pool is the starting set of nodes. Required.
@@ -91,21 +81,18 @@ type Config struct {
 	Tracer *trace.Tracer
 	// StageIn locates externally provided data (version 0) with sizes.
 	StageIn map[deps.DataID]int64
-	// StageInNode holds the staged-in data (default: first pool node).
-	StageInNode string
-	// StageInNodes overrides StageInNode per datum with explicit replica
-	// locations — how partitioned storage backends (Hecuba) advertise
-	// placement to the scheduler (E4).
+	// StageInNodes places staged-in data per datum with explicit replica
+	// locations — how partitioned storage backends advertise placement
+	// to the scheduler (E4). Data without an entry lands on the first
+	// pool node.
 	StageInNodes map[deps.DataID][]string
 	// PersistNode, when non-empty, receives a replica of every task
 	// output — the dataClay persistence that makes recovery cheap
 	// ("whenever a task is submitted to a remote agent, the COMPSs
 	// runtime persists any not-yet-persisted object", Sec. VI-B).
 	PersistNode string
-	// Failures inject node deaths.
-	Failures []Failure
-	// Faults is a full fault script (crashes, slow nodes, drains, network
-	// partitions) armed on the virtual clock alongside Failures.
+	// Faults is a fault script (node crashes, slow nodes, drains, network
+	// partitions) armed on the virtual clock.
 	Faults faults.Scenario
 	// Steal enables the engine's cross-bucket work stealing (default
 	// off); the live runtime takes the identical knob, so steal decisions
@@ -117,11 +104,6 @@ type Config struct {
 	// locally (engine.Availability). The live runtime takes the identical
 	// knob.
 	Availability engine.Availability
-	// DisableIndex forces the engine's legacy materialized-slice
-	// placement path even when the policy supports indexed picks
-	// (sched.IndexedPolicy). Parity-testing escape hatch; the live
-	// runtime takes the identical knob.
-	DisableIndex bool
 	// Checkpoint, when set (with a Store), snapshots the engine state to
 	// disk under the configured policy, on the virtual clock — the same
 	// policy the live runtime drives on wall time.
@@ -307,7 +289,6 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 		Tracer:       cfg.Tracer,
 		Steal:        cfg.Steal,
 		Availability: cfg.Availability,
-		DisableIndex: cfg.DisableIndex,
 		SchedContext: &sched.Context{
 			Registry:  s.reg,
 			Net:       cfg.Net,
@@ -316,11 +297,9 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 	})
 
 	// Stage in external data.
-	stageNode := cfg.StageInNode
-	if stageNode == "" {
-		if nodes := cfg.Pool.Nodes(); len(nodes) > 0 {
-			stageNode = nodes[0].Name()
-		}
+	var stageNode string
+	if nodes := cfg.Pool.Nodes(); len(nodes) > 0 {
+		stageNode = nodes[0].Name()
 	}
 	for d, size := range cfg.StageIn {
 		k := transfer.Key{Data: d, Ver: 0}
@@ -673,14 +652,8 @@ func (s *Sim) deferSchedule() {
 
 // Run executes the simulation to completion and returns the result.
 func (s *Sim) Run() (Result, error) {
-	// Arm fault events: legacy Failures become Crash events in front of
-	// the full script, all scheduled on the virtual clock.
-	script := make(faults.Scenario, 0, len(s.cfg.Failures)+len(s.cfg.Faults))
-	for _, f := range s.cfg.Failures {
-		script = append(script, faults.Event{At: f.At, Kind: faults.Crash, Node: f.Node})
-	}
-	script = append(script, s.cfg.Faults...)
-	if _, err := faults.Run(s.clock, s, script); err != nil {
+	// Arm fault events on the virtual clock.
+	if _, err := faults.Run(s.clock, s, s.cfg.Faults); err != nil {
 		return Result{}, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	// Arm release events (routed through admission when configured).

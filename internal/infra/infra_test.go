@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/deps"
+	"repro/internal/engine/faults"
 	"repro/internal/mlpredict"
 	"repro/internal/resources"
 	"repro/internal/sched"
@@ -182,7 +183,7 @@ func TestTransfersCountedAndLocalityAvoidsThem(t *testing.T) {
 func TestStageInDataIsLocatedAndMoved(t *testing.T) {
 	cfg := baseCfg(2)
 	cfg.StageIn = map[deps.DataID]int64{7: 5e8}
-	cfg.StageInNode = "nodeA"
+	cfg.StageInNodes = map[deps.DataID][]string{7: {"nodeA"}}
 	// Force the reader onto nodeB so the staged data must move.
 	nodeA, _ := cfg.Pool.Get("nodeA")
 	_ = nodeA.Reserve(resources.Constraints{Cores: 4})
@@ -283,11 +284,11 @@ func TestFailureRecoveryWithPersistence(t *testing.T) {
 		if persist != "" {
 			_ = pool.Add(resources.NewNode(persist, resources.Description{Cores: 0, MemoryMB: 0, SpeedFactor: 1}))
 		}
-		tr := trace.New(0)
+		tr := trace.New()
 		cfg := Config{
 			Pool: pool, Net: flatNet(), Policy: sched.FIFO{}, Tracer: tr,
 			PersistNode: persist,
-			Failures:    []Failure{{Node: "worker", At: 1500 * time.Millisecond}},
+			Faults:      faults.Scenario{{At: 1500 * time.Millisecond, Kind: faults.Crash, Node: "worker"}},
 		}
 		specs := []TaskSpec{
 			{ID: 0, Duration: time.Second, Accesses: []deps.Access{{Data: 1, Dir: deps.Out}}, OutputBytes: map[deps.DataID]int64{1: 1e6}},
@@ -377,7 +378,7 @@ func TestPredictorTrainedBySim(t *testing.T) {
 }
 
 func TestTraceEventsEmitted(t *testing.T) {
-	tr := trace.New(0)
+	tr := trace.New()
 	cfg := baseCfg(1)
 	cfg.Tracer = tr
 	specs := []TaskSpec{{ID: 0, Duration: time.Second}}
@@ -409,9 +410,9 @@ func TestPersistNodeFailureFallsBackToRecompute(t *testing.T) {
 	sim, err := New(Config{
 		Pool: pool, Net: flatNet(), Policy: sched.FIFO{},
 		PersistNode: "vault",
-		Failures: []Failure{
-			{Node: "vault", At: 2 * time.Second}, // persistence tier dies
-			{Node: "w1", At: 5 * time.Second},    // then the worker running t1
+		Faults: faults.Scenario{
+			{At: 2 * time.Second, Kind: faults.Crash, Node: "vault"}, // persistence tier dies
+			{At: 5 * time.Second, Kind: faults.Crash, Node: "w1"},    // then the worker running t1
 		},
 	}, specs)
 	if err != nil {
@@ -437,7 +438,7 @@ func TestShrinkNeverKillsRunningWork(t *testing.T) {
 	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{
 		MaxNodes: 1, TasksPerCore: 2, IdleCoresToShrink: 0,
 	})
-	tr := trace.New(0)
+	tr := trace.New()
 	// One long task on a fully elastic pool: while it runs, pending drops
 	// to zero and 7 of 8 cores idle, so every elastic tick decides Shrink.
 	sim, err := New(Config{
@@ -486,7 +487,7 @@ func TestReclaimDuringDrainServesNewLoad(t *testing.T) {
 	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{
 		MaxNodes: 1, TasksPerCore: 2, IdleCoresToShrink: 0,
 	})
-	tr := trace.New(0)
+	tr := trace.New()
 	specs := []TaskSpec{
 		{ID: 1, Class: "long", Duration: 30 * time.Second},
 		// The second task lands while the node is mid-drain (the shrink

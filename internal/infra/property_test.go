@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/deps"
+	"repro/internal/engine/faults"
 	"repro/internal/resources"
 	"repro/internal/sched"
 	"repro/internal/simnet"
@@ -106,7 +107,7 @@ func TestFailureAtAnyInstantIsSurvivable(t *testing.T) {
 			Pool: pool, Net: simnet.New(simnet.Link{BandwidthMBps: 1000}),
 			Policy:      sched.MinLoad{},
 			PersistNode: "vault",
-			Failures:    []Failure{{Node: victim, At: time.Duration(failAtSec%300) * time.Second}},
+			Faults:      faults.Scenario{{At: time.Duration(failAtSec%300) * time.Second, Kind: faults.Crash, Node: victim}},
 		}, specs)
 		if err != nil {
 			return false

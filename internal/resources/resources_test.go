@@ -284,86 +284,6 @@ func TestClassString(t *testing.T) {
 	}
 }
 
-func TestFederationPrefersCheapest(t *testing.T) {
-	cheap := NewSimProvider("spot", CloudVM, 2, 0)
-	pricey := NewSimProvider("ondemand", CloudVM, 2, 0)
-	fed := NewFederation("multi-cloud")
-	fed.AddProvider(pricey, 0.50)
-	fed.AddProvider(cheap, 0.10)
-
-	// First two acquisitions drain the cheap provider.
-	for i := 0; i < 2; i++ {
-		n, _, err := fed.Acquire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := n.Name(); got[:4] != "spot" {
-			t.Fatalf("acquisition %d came from %s, want spot", i, got)
-		}
-	}
-	// Third spills to the expensive one.
-	n3, _, err := fed.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n3.Name()[:8] != "ondemand" {
-		t.Fatalf("spill went to %s", n3.Name())
-	}
-	// Fourth drains the expensive provider; fifth fails.
-	if _, _, err := fed.Acquire(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := fed.Acquire(); err == nil {
-		t.Fatal("over-capacity acquire succeeded")
-	}
-
-	// Release routes back to the producing provider.
-	if err := fed.Release(n3); err != nil {
-		t.Fatal(err)
-	}
-	if pricey.Granted() != 1 {
-		t.Fatalf("ondemand granted = %d after release, want 1", pricey.Granted())
-	}
-	if err := fed.Release(n3); err == nil {
-		t.Fatal("double release accepted")
-	}
-}
-
-func TestFederationWithElasticManager(t *testing.T) {
-	cheap := NewSimProvider("edge", FogDevice, 2, 0)
-	big := NewSimProvider("cloud", CloudVM, 4, 0)
-	fed := NewFederation("continuum")
-	fed.AddProvider(cheap, 0.05)
-	fed.AddProvider(big, 0.40)
-	mgr := NewElasticManager(fed, ScalePolicy{MaxNodes: 6, TasksPerCore: 1, IdleCoresToShrink: 0})
-	pool := NewPool()
-	grown := 0
-	for mgr.Evaluate(pool, 1000) == Grow {
-		if _, _, err := mgr.GrowOne(pool); err != nil {
-			t.Fatal(err)
-		}
-		grown++
-	}
-	if grown != 6 {
-		t.Fatalf("grew %d nodes, want 6 (2 edge + 4 cloud)", grown)
-	}
-	if cheap.Granted() != 2 || big.Granted() != 4 {
-		t.Fatalf("granted edge=%d cloud=%d", cheap.Granted(), big.Granted())
-	}
-	for {
-		v, err := mgr.ShrinkOne(pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v == nil {
-			break
-		}
-	}
-	if cheap.Granted() != 0 || big.Granted() != 0 {
-		t.Fatalf("after shrink: edge=%d cloud=%d", cheap.Granted(), big.Granted())
-	}
-}
-
 // Downscaling is drain-then-remove: a busy victim is cordoned first and
 // only removed once its running work has released — never killed.
 func TestShrinkDrainsBusyNodeBeforeRemoval(t *testing.T) {

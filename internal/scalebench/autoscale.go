@@ -134,7 +134,7 @@ func runAutoscaleArm(tr *wtrace.Trace, costAware bool, every time.Duration) (Aut
 	if err := pool.Add(resources.NewNode("base-0", resources.EdgeSensor)); err != nil {
 		return AutoscaleArm{}, err
 	}
-	tracer := rtrace.New(0)
+	tracer := rtrace.New()
 	cfg := infra.Config{
 		Pool:         pool,
 		Net:          simnet.New(simnet.Link{BandwidthMBps: 1000, Latency: 100 * time.Microsecond}),

@@ -8,9 +8,9 @@
 // which "will enable the runtime to exploit the locality of the data by
 // scheduling tasks in the location where the data resides".
 //
-// Two backends implement the interface in subpackages: hecuba (key-value,
-// Cassandra-style partitioning) and dataclay (active objects with in-store
-// method execution).
+// Memory is the in-process backend. The dataclay subpackage models the
+// paper's other storage flavour: active objects with in-store method
+// execution.
 package storage
 
 import (

@@ -76,26 +76,20 @@ type Event struct {
 type Tracer struct {
 	mu     sync.Mutex
 	events []Event
-	limit  int
 }
 
-// New returns a tracer that keeps at most limit events (0 ⇒ unlimited).
-func New(limit int) *Tracer {
-	return &Tracer{limit: limit}
+// New returns an empty tracer.
+func New() *Tracer {
+	return &Tracer{}
 }
 
-// Record appends an event; on a full bounded tracer the oldest is dropped.
+// Record appends an event.
 func (t *Tracer) Record(e Event) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.limit > 0 && len(t.events) >= t.limit {
-		copy(t.events, t.events[1:])
-		t.events[len(t.events)-1] = e
-		return
-	}
 	t.events = append(t.events, e)
 }
 

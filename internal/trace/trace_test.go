@@ -16,7 +16,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 }
 
 func TestRecordAndCount(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	tr.Record(Event{At: time.Second, Kind: TaskStarted, Task: 1})
 	tr.Record(Event{At: 2 * time.Second, Kind: TaskCompleted, Task: 1})
 	tr.Record(Event{At: 3 * time.Second, Kind: TaskStarted, Task: 2})
@@ -25,22 +25,8 @@ func TestRecordAndCount(t *testing.T) {
 	}
 }
 
-func TestBoundedTracerDropsOldest(t *testing.T) {
-	tr := New(3)
-	for i := int64(1); i <= 5; i++ {
-		tr.Record(Event{Kind: TaskStarted, Task: i})
-	}
-	ev := tr.Events()
-	if len(ev) != 3 {
-		t.Fatalf("len = %d, want 3", len(ev))
-	}
-	if ev[0].Task != 3 || ev[2].Task != 5 {
-		t.Fatalf("kept wrong window: %v", ev)
-	}
-}
-
 func TestExportJSON(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	tr.Record(Event{At: time.Second, Kind: DataTransfer, Node: "n1", Info: "10MB"})
 	raw, err := tr.ExportJSON()
 	if err != nil {
@@ -56,7 +42,7 @@ func TestExportJSON(t *testing.T) {
 }
 
 func TestConcurrentRecord(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
