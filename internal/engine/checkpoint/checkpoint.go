@@ -22,12 +22,12 @@
 // identical post-completion, pre-placement state on either backend —
 // the invariant the checkpoint parity suite compares with Equivalent.
 //
-// On disk a snapshot is a JSON projection (Snapshot) written through
-// Store: content-addressed names (snap-<seq>-<sha256:16>.ckpt), atomic
-// temp-and-rename writes, format versioning (Format), bounded retention
-// (Keep), and a Latest that skips corrupt or truncated files back to
-// the previous valid snapshot, so damage costs one checkpoint interval
-// rather than the run.
+// On disk a snapshot is a binary encoding of Snapshot (codec.go)
+// written through Store: content-addressed names
+// (snap-<seq>-<sha256:16>.ckpt), atomic temp-and-rename writes, format
+// versioning (Format), bounded retention (Keep), and a Latest that skips
+// corrupt or truncated files back to the previous valid snapshot, so
+// damage costs one checkpoint interval rather than the run.
 //
 // Restore is cooperative and placement-aware: the application
 // re-registers the same workflow (same order, so task IDs line up), the
@@ -54,14 +54,16 @@ import (
 	"repro/internal/transfer"
 )
 
-// Format is the snapshot format version. Loaders reject snapshots from a
-// different format rather than guessing at field semantics.
-const Format = 1
+// Format is the snapshot format version: 2 is the binary codec, 1 was
+// JSON. Loaders reject files of any other format with ErrCorrupt rather
+// than guessing at field semantics, so Latest falls back past them as it
+// does past a damaged file.
+const Format = 2
 
 // CatalogKey names one immutable data version inside a snapshot.
 type CatalogKey struct {
-	Data int64 `json:"data"`
-	Ver  int   `json:"ver"`
+	Data int64
+	Ver  int
 }
 
 // Key converts the snapshot form back to a transfer.Key.
@@ -78,57 +80,57 @@ func (k CatalogKey) Version() deps.Version {
 type TaskRecord struct {
 	// ID is the task's graph-unique ID (stable across restarts as long
 	// as the workflow is re-submitted in the same order).
-	ID int64 `json:"id"`
+	ID int64
 	// Epoch is the placement counter at capture time.
-	Epoch int `json:"epoch"`
+	Epoch int
 	// Outputs lists the data versions the task produced.
-	Outputs []CatalogKey `json:"outputs,omitempty"`
+	Outputs []CatalogKey
 }
 
 // CatalogEntry records one data version: its size, its replica
 // locations, and — on the live backend — the encoded value itself.
 type CatalogEntry struct {
-	Key       CatalogKey `json:"key"`
-	Size      int64      `json:"size,omitempty"`
-	Locations []string   `json:"locations,omitempty"`
+	Key       CatalogKey
+	Size      int64
+	Locations []string
 	// Value is the gob-encoded produced value (live backend only; see
 	// EncodeValue). Absent values make the producing task re-run on
 	// restore rather than resolve to a wrong future.
-	Value    []byte `json:"value,omitempty"`
-	HasValue bool   `json:"has_value,omitempty"`
+	Value    []byte
+	HasValue bool
 }
 
 // Snapshot is one persisted engine state.
 type Snapshot struct {
 	// Format is the snapshot format version (see Format).
-	Format int `json:"format"`
+	Format int
 	// Seq is the store-assigned sequence number (monotonic per store).
-	Seq int `json:"seq"`
+	Seq int
 	// At is the engine clock offset when the snapshot was captured
 	// (virtual time on the simulator, elapsed wall time live).
-	At time.Duration `json:"at"`
+	At time.Duration
 	// Completed lists every task that has completed at least once and is
 	// not currently mid-re-execution.
-	Completed []TaskRecord `json:"completed"`
+	Completed []TaskRecord
 	// Ready, Running and Pending record the scheduling frontier at
 	// capture time: queued-for-placement, holding reservations, and
 	// waiting on dependencies respectively. Running and Pending tasks
 	// re-run after a restore; the sets exist for diagnostics and for the
 	// backend-parity suite.
-	Ready   []int64 `json:"ready,omitempty"`
-	Running []int64 `json:"running,omitempty"`
-	Pending []int64 `json:"pending,omitempty"`
+	Ready   []int64
+	Running []int64
+	Pending []int64
 	// Catalog is the data-version catalog (handle → size/locations, plus
 	// encoded values on the live backend).
-	Catalog []CatalogEntry `json:"catalog,omitempty"`
+	Catalog []CatalogEntry
 	// Order is every registered task ID in registration order — the
 	// interleaving the four sections above lose. Delta reconstruction
 	// needs it to rebuild the sections of a later state in the exact
-	// order a direct capture would produce. Snapshots written before the
-	// field existed omit it; TaskOrder falls back to ascending IDs.
-	Order []int64 `json:"order,omitempty"`
+	// order a direct capture would produce. A snapshot built without it
+	// makes TaskOrder fall back to ascending IDs.
+	Order []int64
 	// Stats are the engine's activity counters at capture time.
-	Stats engine.Stats `json:"stats"`
+	Stats engine.Stats
 }
 
 // CompletedIDs returns the completed task IDs in snapshot order.

@@ -1,6 +1,6 @@
 // Delta snapshots — the O(changes) half of the checkpoint subsystem.
 // A full Snapshot walks every task and every catalog row; on a
-// million-task graph that is a million-record JSON encode per interval
+// million-task graph that is a million-record encode per interval
 // even when almost nothing moved since the last capture. A Delta records
 // only what changed: the engine's dirty set (tasks whose lifecycle
 // state, epoch or completed flag moved since the last capture), the
@@ -41,46 +41,46 @@ import (
 // whatever an earlier element of the chain said about it.
 type DeltaTask struct {
 	// ID is the task's graph-unique ID.
-	ID int64 `json:"id"`
+	ID int64
 	// State is the engine lifecycle state at capture time.
-	State engine.State `json:"state"`
+	State engine.State
 	// Epoch is the placement counter at capture time.
-	Epoch int `json:"epoch"`
+	Epoch int
 	// Completed reports whether the task has completed at least once.
-	Completed bool `json:"completed"`
+	Completed bool
 	// Outputs lists the data versions the task produces.
-	Outputs []CatalogKey `json:"outputs,omitempty"`
+	Outputs []CatalogKey
 }
 
 // Delta is one incremental checkpoint: the state changes since the
 // parent file of the chain.
 type Delta struct {
 	// Format is the snapshot format version (shared with Snapshot).
-	Format int `json:"format"`
+	Format int
 	// Seq is the store-assigned sequence number (same counter as full
 	// snapshots; the chain is an interval of it).
-	Seq int `json:"seq"`
+	Seq int
 	// ParentSeq is the sequence number of the file this delta extends —
 	// the previous save, base or delta. Reconstruction applies a delta
 	// only onto exactly that state; anything else means a link is missing
 	// and the chain is broken from here on.
-	ParentSeq int `json:"parent_seq"`
+	ParentSeq int
 	// At is the engine clock offset at capture time.
-	At time.Duration `json:"at"`
+	At time.Duration
 	// Tasks are the absolute records of every task whose snapshot-
 	// relevant state changed since the parent, sorted by ID.
-	Tasks []DeltaTask `json:"tasks,omitempty"`
+	Tasks []DeltaTask
 	// Added lists the tasks registered since the parent, in registration
 	// order; reconstruction appends them to the base snapshot's ordering.
 	// Every added task also has a record in Tasks.
-	Added []int64 `json:"added,omitempty"`
+	Added []int64
 	// Catalog holds the absolute replacement rows for every catalog key
 	// whose entry changed, sorted by key. A row with zero size and no
 	// locations means the entry vanished.
-	Catalog []CatalogEntry `json:"catalog,omitempty"`
+	Catalog []CatalogEntry
 	// Stats are the engine's activity counters at capture time
 	// (absolute, like every other field).
-	Stats engine.Stats `json:"stats"`
+	Stats engine.Stats
 }
 
 // Empty reports whether the delta carries no changes at all — the
@@ -127,10 +127,11 @@ type merger struct {
 
 // newMerger seeds the reconstruction from a valid base snapshot.
 func newMerger(base *Snapshot) *merger {
+	n := len(base.Completed) + len(base.Ready) + len(base.Running) + len(base.Pending)
 	m := &merger{
-		known:   make(map[int64]struct{}),
-		tasks:   make(map[int64]DeltaTask),
-		catalog: make(map[CatalogKey]CatalogEntry),
+		known:   make(map[int64]struct{}, n),
+		tasks:   make(map[int64]DeltaTask, n),
+		catalog: make(map[CatalogKey]CatalogEntry, len(base.Catalog)),
 		seq:     base.Seq,
 		at:      base.At,
 		stats:   base.Stats,
@@ -214,6 +215,7 @@ func (m *merger) snapshot() *Snapshot {
 			keys = append(keys, k)
 		}
 		sort.Slice(keys, func(i, j int) bool { return catalogKeyLess(keys[i], keys[j]) })
+		snap.Catalog = make([]CatalogEntry, 0, len(keys))
 		for _, k := range keys {
 			snap.Catalog = append(snap.Catalog, m.catalog[k])
 		}

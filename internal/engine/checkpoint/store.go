@@ -1,17 +1,17 @@
 // The on-disk snapshot store: versioned, content-addressed, atomic.
-// Each snapshot is one JSON file named snap-<seq>-<digest>.ckpt, where
-// the digest is the truncated SHA-256 of the file's contents — the name
-// is a self-certifying claim the loader re-verifies, so a torn write, a
-// truncation or any bit-rot is detected and the loader falls back to the
-// previous valid snapshot instead of restoring garbage. Writes go
-// through a temp file and a rename, so a crash mid-save never corrupts
-// an existing snapshot.
+// Each snapshot is one binary-encoded file (codec.go) named
+// snap-<seq>-<digest>.ckpt, where the digest is the truncated SHA-256 of
+// the file's contents. The name is a self-certifying claim the loader
+// re-verifies, and the only integrity check: it covers every byte, so a
+// torn write, a truncation or any bit-rot is detected and the loader
+// falls back to the previous valid snapshot instead of restoring
+// garbage. Writes go through a temp file and a rename, so a crash
+// mid-save never corrupts an existing snapshot.
 package checkpoint
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -28,8 +28,8 @@ var (
 	// valid snapshot.
 	ErrNoSnapshot = errors.New("checkpoint: no valid snapshot found")
 	// ErrCorrupt is returned by Load for a snapshot whose contents do not
-	// match the digest in its name, cannot be parsed, or carry an
-	// unknown format version.
+	// match the digest in its name, cannot be decoded, or carry another
+	// format version (including the JSON files of format 1).
 	ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 )
 
@@ -138,23 +138,7 @@ func (s *Store) Save(snap *Snapshot) (string, error) {
 	s.seq++
 	snap.Seq = s.seq
 	snap.Format = Format
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	sum := sha256.Sum256(data)
-	name := fmt.Sprintf("snap-%06d-%s.ckpt", snap.Seq, hex.EncodeToString(sum[:])[:digestLen])
-	path := filepath.Join(s.dir, name)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", fmt.Errorf("checkpoint: write: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return "", fmt.Errorf("checkpoint: commit: %w", err)
-	}
-	s.pruneLocked()
-	return path, nil
+	return s.writeLocked("snap-", snap.Seq, encodeSnapshot(snap))
 }
 
 // SaveDelta persists one delta, chained to the store's newest file (base
@@ -169,20 +153,22 @@ func (s *Store) SaveDelta(d *Delta) (string, error) {
 	s.seq++
 	d.Seq = s.seq
 	d.Format = Format
-	data, err := json.Marshal(d)
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: encode delta: %w", err)
-	}
+	return s.writeLocked("delta-", d.Seq, encodeDelta(d))
+}
+
+// writeLocked writes one encoded file as <prefix><seq>-<digest>.ckpt
+// through a temp file and a rename, then prunes retention.
+func (s *Store) writeLocked(prefix string, seq int, data []byte) (string, error) {
 	sum := sha256.Sum256(data)
-	name := fmt.Sprintf("delta-%06d-%s.ckpt", d.Seq, hex.EncodeToString(sum[:])[:digestLen])
+	name := fmt.Sprintf("%s%06d-%s.ckpt", prefix, seq, hex.EncodeToString(sum[:])[:digestLen])
 	path := filepath.Join(s.dir, name)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return "", fmt.Errorf("checkpoint: write delta: %w", err)
+		return "", fmt.Errorf("checkpoint: write: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		_ = os.Remove(tmp)
-		return "", fmt.Errorf("checkpoint: commit delta: %w", err)
+		return "", fmt.Errorf("checkpoint: commit: %w", err)
 	}
 	s.pruneLocked()
 	return path, nil
@@ -213,41 +199,27 @@ func (s *Store) pruneLocked() {
 }
 
 // Load reads and verifies one snapshot file: the contents must hash to
-// the digest embedded in the name, parse as JSON, and carry the current
-// format version.
+// the digest embedded in the name and decode as a base snapshot of the
+// current format version.
 func (s *Store) Load(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	name := filepath.Base(path)
-	parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".ckpt"), "-")
-	if len(parts) != 2 {
-		return nil, fmt.Errorf("%w: unrecognised name %q", ErrCorrupt, name)
-	}
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:])[:digestLen] != parts[1] {
-		return nil, fmt.Errorf("%w: %s: digest mismatch", ErrCorrupt, name)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
-	}
-	if snap.Format != Format {
-		return nil, fmt.Errorf("%w: %s: format %d, want %d", ErrCorrupt, name, snap.Format, Format)
-	}
-	return &snap, nil
+	return load(path, "snap-", decodeSnapshot)
 }
 
-// LoadDelta reads and verifies one delta file: contents must hash to the
-// digest in the name, parse, and carry the current format version.
+// LoadDelta reads and verifies one delta file, as Load does a snapshot.
 func (s *Store) LoadDelta(path string) (*Delta, error) {
+	return load(path, "delta-", decodeDelta)
+}
+
+// load reads the file at path, checks its contents against the digest in
+// its name (<prefix><seq>-<digest>.ckpt) and decodes it. Every failure is
+// ErrCorrupt.
+func load[T any](path, prefix string, decode func([]byte) (*T, error)) (*T, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	name := filepath.Base(path)
-	parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(name, "delta-"), ".ckpt"), "-")
+	parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(name, prefix), ".ckpt"), "-")
 	if len(parts) != 2 {
 		return nil, fmt.Errorf("%w: unrecognised name %q", ErrCorrupt, name)
 	}
@@ -255,14 +227,11 @@ func (s *Store) LoadDelta(path string) (*Delta, error) {
 	if hex.EncodeToString(sum[:])[:digestLen] != parts[1] {
 		return nil, fmt.Errorf("%w: %s: digest mismatch", ErrCorrupt, name)
 	}
-	var d Delta
-	if err := json.Unmarshal(data, &d); err != nil {
+	v, err := decode(data)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, name, err)
 	}
-	if d.Format != Format {
-		return nil, fmt.Errorf("%w: %s: format %d, want %d", ErrCorrupt, name, d.Format, Format)
-	}
-	return &d, nil
+	return v, nil
 }
 
 // Latest returns the newest reconstructible state: a forward pass over

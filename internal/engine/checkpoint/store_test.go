@@ -1,8 +1,12 @@
 package checkpoint
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -115,6 +119,76 @@ func TestStoreFallbackOnCorruption(t *testing.T) {
 					snap.Seq, len(snap.Completed))
 			}
 		})
+	}
+}
+
+// format1JSON is a snapshot as the JSON codec of format 1 wrote it.
+const format1JSON = `{"format":1,"seq":2,"at":2000000000,"completed":[{"id":1,"epoch":1,"outputs":[{"data":1,"ver":1}]}],"catalog":[{"key":{"data":1,"ver":1},"size":42,"locations":["n0"]}],"stats":{"Launched":0,"Steals":0,"Completed":0,"Restored":0,"Reexecuted":0,"Transfers":0,"BytesMoved":0,"TransferTime":0,"RanMissing":0,"Deferred":0,"Woken":0,"AvailRecomputes":0,"AdmitQueued":0,"AdmitRejected":0}}`
+
+// writeNamed writes data into dir under its correct content-addressed
+// name, so only the decoder can reject it.
+func writeNamed(t *testing.T, dir, prefix string, seq int, data []byte) string {
+	t.Helper()
+	sum := sha256.Sum256(data)
+	path := filepath.Join(dir, fmt.Sprintf("%s%06d-%s.ckpt", prefix, seq, hex.EncodeToString(sum[:])[:digestLen]))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLoadRejectsOtherFormats: a correctly named file of any format but
+// Format — the JSON files of format 1, a binary header claiming another
+// version — is ErrCorrupt, not a guess.
+func TestLoadRejectsOtherFormats(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := *sample(time.Second, 1)
+	other.Format = Format + 1
+	for name, data := range map[string][]byte{
+		"json format 1":   []byte(format1JSON),
+		"binary format 3": encodeSnapshot(&other),
+	} {
+		path := writeNamed(t, dir, "snap-", 1, data)
+		if _, err := store.Load(path); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Load = %v, want ErrCorrupt", name, err)
+		}
+		_ = os.Remove(path)
+	}
+}
+
+// TestLatestFallsBackPastFormat1: a JSON-era file after a valid binary
+// base is skipped like a damaged one; with no valid base left, Latest
+// reports ErrNoSnapshot.
+func TestLatestFallsBackPastFormat1(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Save(sample(time.Second, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	writeNamed(t, dir, "snap-", 2, []byte(format1JSON))
+	snap, err := store.Latest()
+	if err != nil {
+		t.Fatalf("Latest with a valid base present: %v", err)
+	}
+	if snap.Seq != 1 || len(snap.Completed) != 2 {
+		t.Fatalf("fallback picked seq %d with %d completed, want seq 1 with 2", snap.Seq, len(snap.Completed))
+	}
+
+	onlyJSON := t.TempDir()
+	writeNamed(t, onlyJSON, "snap-", 1, []byte(format1JSON))
+	store, err = NewStore(onlyJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Latest(); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("Latest over format-1 files only = %v, want ErrNoSnapshot", err)
 	}
 }
 
