@@ -10,7 +10,7 @@ PKGS := ./...
 SWEEP_SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 FUZZTIME ?= 30s
 
-.PHONY: build test race check lint vet deadpkgs fuzz testsweep bench scalebench clean
+.PHONY: build test race check lint vet deadpkgs flowbench fuzz testsweep bench scalebench clean
 
 build:
 	$(GO) build $(PKGS)
@@ -21,7 +21,7 @@ test:
 race:
 	$(GO) test -race -short $(PKGS)
 
-check: build vet test race
+check: build vet test race flowbench
 
 vet:
 	$(GO) vet $(PKGS)
@@ -38,6 +38,12 @@ deadpkgs:
 		echo "deadpkgs: packages above are imported by no cmd/ or examples/ binary" >&2; \
 		exit 1; \
 	fi
+
+# flowbench is a Go module of its own, so the root ./... never compiles
+# it: vet and test it separately, or a change to internal/core or
+# internal/infra can break the benchmark unnoticed.
+flowbench:
+	cd flowbench && $(GO) vet ./... && $(GO) test ./...
 
 # staticcheck is optional locally; CI installs a pinned version. The
 # guard keeps `make lint` useful on machines without it.

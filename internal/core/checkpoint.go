@@ -2,9 +2,9 @@
 // carry a location catalog only; a live snapshot must additionally
 // persist the concrete Go values completed tasks produced, or a resumed
 // run would have nothing to seed futures and downstream materialisation
-// with. Capture therefore runs the shared engine capture and then
-// attaches a gob-encoded value to every catalog version the value table
-// holds; restore decodes them back into the value table at construction
+// with. The driver's capture therefore calls attachValues, which adds a
+// gob-encoded value to every catalog version the value table holds;
+// restore decodes them back into the value table at construction
 // time and, as the application re-submits the same workflow, resolves
 // each submission recorded as completed instead of executing it.
 // Resumability is cooperative: task IDs are assigned in submission
@@ -34,7 +34,8 @@ type restoreState struct {
 // backend's persist tier — is re-staged onto the first live node instead
 // of being dropped, so dependent placements see a reachable replica
 // rather than classifying the input as lost. Called from New, before the
-// runtime is visible to anyone.
+// runtime is visible to anyone and before the driver (and with it the
+// engine and any checkpoint timer) exists.
 func (rt *Runtime) applyRestoreSeed(snap *checkpoint.Snapshot) {
 	if snap.Format != checkpoint.Format {
 		// Silently resuming cold would recompute a whole campaign without
@@ -109,7 +110,7 @@ func (rt *Runtime) tryRestoreLocked(t *rtTask) bool {
 		}
 		vals[i] = slot.val
 	}
-	if !rt.eng.RestoreCompleted(t.et.ID, rec.Epoch) {
+	if !rt.Engine().RestoreCompleted(t.et.ID, rec.Epoch) {
 		return false
 	}
 	rt.restored++
@@ -139,48 +140,12 @@ func (rt *Runtime) RestagedReplicas() int {
 	return rt.restaged
 }
 
-// CheckpointSnapshot implements checkpoint.Source: the shared engine
-// capture over the location registry, plus an encoded value per catalog
-// version the value table holds. Values that cannot be encoded (see
+// attachValues is the driver's Values hook: it adds a gob-encoded value
+// to every catalog row of a capture that the value table holds (a
+// vanished-entry tombstone — zero size, no locations — stays value-free
+// so reconstruction drops it). Values that cannot be encoded (see
 // checkpoint.RegisterType) are left out; their producers re-run on
 // restore.
-func (rt *Runtime) CheckpointSnapshot() *checkpoint.Snapshot {
-	snap := checkpoint.Capture(rt.eng, rt.cfg.Locations)
-	rt.attachValues(snap.Catalog)
-	return snap
-}
-
-// CheckpointBase implements checkpoint.DeltaSource: the full capture
-// that starts (or compacts) a delta chain, values attached like
-// CheckpointSnapshot.
-func (rt *Runtime) CheckpointBase() *checkpoint.Snapshot {
-	snap := checkpoint.CaptureBase(rt.eng, rt.cfg.Locations)
-	rt.attachValues(snap.Catalog)
-	return snap
-}
-
-// CheckpointDelta implements checkpoint.DeltaSource: the changes since
-// the last capture, with encoded values attached to the changed catalog
-// rows so a chain reconstruction restores values exactly like a full
-// snapshot would.
-func (rt *Runtime) CheckpointDelta() *checkpoint.Delta {
-	d := checkpoint.CaptureDelta(rt.eng, rt.cfg.Locations)
-	rt.attachValues(d.Catalog)
-	return d
-}
-
-// CheckpointDirty implements checkpoint.DeltaSource.
-func (rt *Runtime) CheckpointDirty() int {
-	n := rt.eng.DirtyCount()
-	if rt.cfg.Locations != nil {
-		n += rt.cfg.Locations.DirtyCount()
-	}
-	return n
-}
-
-// attachValues adds a gob-encoded value to every catalog row the value
-// table holds (a vanished-entry tombstone — zero size, no locations —
-// stays value-free so reconstruction drops it).
 func (rt *Runtime) attachValues(catalog []checkpoint.CatalogEntry) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -197,13 +162,4 @@ func (rt *Runtime) attachValues(catalog []checkpoint.CatalogEntry) {
 			catalog[i].HasValue = true
 		}
 	}
-}
-
-// Checkpoint takes an on-demand snapshot (requires Config.Checkpoint
-// with a store).
-func (rt *Runtime) Checkpoint() error {
-	if rt.ckpt == nil {
-		return fmt.Errorf("core: no checkpoint store configured")
-	}
-	return rt.ckpt.Save()
 }

@@ -9,14 +9,16 @@
 // This package executes real Go functions with real concurrency; the
 // companion package internal/infra replays the same scheduling machinery
 // over virtual time for the scale experiments. Both are thin backends over
-// the shared scheduling engine (internal/engine) — one ready-queue,
-// placement loop, dependency-release path, fault surface and work-stealing
-// policy — alongside the shared access processor (internal/deps), resource
-// model (internal/resources) and scheduling policies (internal/sched).
-// Here the engine's Clock is wall time and its Executor spawns a goroutine
-// per placement; fault kills additionally cancel the execution's context,
-// and epoch-guarded completions keep orphaned goroutines from publishing
-// values. See docs/ARCHITECTURE.md for the task lifecycle on each backend.
+// the shared backend driver (internal/driver), which builds the scheduling
+// engine (internal/engine) — one ready-queue, placement loop,
+// dependency-release path, fault surface and work-stealing policy — and
+// owns checkpointing, alongside the shared access processor
+// (internal/deps), resource model (internal/resources) and scheduling
+// policies (internal/sched). Here the engine's Clock is wall time and its
+// Executor spawns a goroutine per placement; fault kills additionally
+// cancel the execution's context, and epoch-guarded completions keep
+// orphaned goroutines from publishing values. See docs/ARCHITECTURE.md
+// for the task lifecycle on each backend.
 package core
 
 import (
@@ -30,6 +32,7 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/deps"
+	"repro/internal/driver"
 	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
 	"repro/internal/engine/faults"
@@ -118,12 +121,6 @@ func WriteSized(h *Handle, bytes int64) Param {
 
 // Update declares a read-modify-write access on a handle.
 func Update(h *Handle) Param { return Param{Handle: h, Dir: deps.InOut} }
-
-// UpdateSized declares a read-modify-write access whose new version has
-// the given byte size.
-func UpdateSized(h *Handle, bytes int64) Param {
-	return Param{Handle: h, Dir: deps.InOut, Size: bytes}
-}
 
 // Reduce declares a commutative update on a handle.
 func Reduce(h *Handle) Param { return Param{Handle: h, Dir: deps.Commutative} }
@@ -220,14 +217,11 @@ type Config struct {
 	Restore *checkpoint.Snapshot
 	// Metrics, when set, backs the engine (and the checkpointer, unless
 	// its config carries its own bundle) with observability instruments
-	// registered on this registry; serve it with obsv.Serve or sample it
-	// with Runtime.StartSampler. Optional.
+	// registered on this registry; serve it with obsv.Serve. Optional.
 	Metrics *obsv.Registry
 	// Autoscale enables cost-aware pool scaling across heterogeneous
 	// tiers — the same autoscaler the simulator takes, evaluated here on
-	// the wall clock. Arm it with Runtime.StartAutoscaler or drive
-	// evaluations manually with Runtime.AutoscaleStep (the parity
-	// suite's route).
+	// the wall clock. Drive evaluations with Runtime.AutoscaleStep.
 	Autoscale *autoscale.Autoscaler
 	// Admission, when set, gates submissions behind per-tenant quotas: a
 	// submission over its tenant's in-flight cap is registered but held
@@ -267,13 +261,13 @@ type commParam struct {
 	ver deps.Version
 }
 
-// Runtime executes tasks. Create with New, stop with Shutdown.
+// Runtime executes tasks. Create with New, stop with Shutdown. The
+// embedded driver supplies the engine, checkpointing and the fault
+// surface (faults.Injector) shared with the simulator.
 type Runtime struct {
+	*driver.Driver
 	cfg  Config
 	proc *deps.Processor
-	eng  *engine.Engine
-	ckpt *checkpoint.Checkpointer
-	smp  *obsv.Sampler
 
 	mu       sync.Mutex
 	defs     map[string]TaskDef
@@ -287,9 +281,6 @@ type Runtime struct {
 	nextTask int64
 	nextData int64
 	stopped  bool
-
-	autoStop chan struct{} // closes to stop the autoscale ticker
-	autoDone chan struct{} // closed when the ticker goroutine exits
 
 	wg    sync.WaitGroup // running task goroutines
 	epoch time.Time      // trace-event time base
@@ -315,47 +306,38 @@ func New(cfg Config) *Runtime {
 		group:  make(map[deps.Version][]*Future),
 		epoch:  time.Now(),
 	}
-	rt.eng = engine.New(engine.Config{
-		Pool:         cfg.Pool,
-		Policy:       cfg.Policy,
-		Clock:        engine.WallClock{Epoch: rt.epoch},
-		Executor:     (*coreExecutor)(rt),
-		Metrics:      obsv.NewEngineMetrics(cfg.Metrics),
-		Registry:     cfg.Locations,
-		Net:          cfg.Net,
-		Tracer:       cfg.Tracer,
-		Steal:        cfg.Steal,
-		Availability: cfg.Availability,
-		SchedContext: &sched.Context{
-			Registry:  cfg.Locations,
-			Net:       cfg.Net,
-			Predictor: cfg.Predictor,
-		},
-	})
-	if cfg.Autoscale != nil {
-		// Downscale victims are cordoned through the engine, so the drain
-		// lands on the scheduler's books (and the trace) before removal.
-		cfg.Autoscale.SetCordon(rt.eng.DrainNode)
-	}
 	if cfg.Admission != nil {
 		rt.tenants = make(map[int64]string)
 	}
 	if cfg.Restore != nil {
+		// Seeded before the driver arms a wall-clock checkpoint timer, so
+		// no capture can read rt.values while the seed writes them.
 		rt.applyRestoreSeed(cfg.Restore)
 	}
-	if cfg.Checkpoint != nil && cfg.Checkpoint.Store != nil {
-		ck := *cfg.Checkpoint
-		if ck.Timer == nil {
-			ck.Timer = faults.NewWallTimer()
-		}
-		if ck.Tracer == nil {
-			ck.Tracer = cfg.Tracer
-		}
-		if ck.Metrics == nil && cfg.Metrics != nil {
-			ck.Metrics = obsv.NewCkptMetrics(cfg.Metrics)
-		}
-		rt.ckpt = checkpoint.NewCheckpointer(ck, rt)
-	}
+	rt.Driver = driver.New(driver.Config{
+		Engine: engine.Config{
+			Pool:         cfg.Pool,
+			Policy:       cfg.Policy,
+			Clock:        engine.WallClock{Epoch: rt.epoch},
+			Executor:     (*coreExecutor)(rt),
+			Registry:     cfg.Locations,
+			Net:          cfg.Net,
+			Tracer:       cfg.Tracer,
+			Steal:        cfg.Steal,
+			Availability: cfg.Availability,
+			SchedContext: &sched.Context{
+				Registry:  cfg.Locations,
+				Net:       cfg.Net,
+				Predictor: cfg.Predictor,
+			},
+		},
+		Metrics:    cfg.Metrics,
+		Checkpoint: cfg.Checkpoint,
+		Timer:      faults.NewWallTimer(),
+		Autoscale:  cfg.Autoscale,
+		Values:     rt.attachValues,
+		OnKill:     rt.cancelKilled,
+	})
 	return rt
 }
 
@@ -387,7 +369,6 @@ type DataOption func(*dataOpts)
 type dataOpts struct {
 	size  int64
 	sized bool
-	node  string
 }
 
 // WithSize declares the byte size of the staged-in value, overriding the
@@ -397,17 +378,11 @@ func WithSize(bytes int64) DataOption {
 	return func(o *dataOpts) { o.size, o.sized = bytes, true }
 }
 
-// WithLocation names the node that holds the staged-in value (default:
-// the first pool node), the replica seed for locality scheduling and
-// transfer accounting.
-func WithLocation(node string) DataOption {
-	return func(o *dataOpts) { o.node = node }
-}
-
 // SetInitial sets version 0 of a handle to a concrete value (stage-in).
 // When the runtime has a location registry, the value's size (declared via
-// WithSize or measured) and its replica location are recorded, so live
-// transfer accounting prices the stage-in data like the simulator does.
+// WithSize or measured) and its replica on the first pool node are
+// recorded, so live transfer accounting prices the stage-in data like the
+// simulator does.
 func (rt *Runtime) SetInitial(h *Handle, v any, opts ...DataOption) {
 	var o dataOpts
 	for _, fn := range opts {
@@ -427,14 +402,8 @@ func (rt *Runtime) SetInitial(h *Handle, v any, opts ...DataOption) {
 	if size > 0 {
 		rt.cfg.Locations.SetSize(k, size)
 	}
-	node := o.node
-	if node == "" {
-		if nodes := rt.cfg.Pool.Nodes(); len(nodes) > 0 {
-			node = nodes[0].Name()
-		}
-	}
-	if node != "" {
-		rt.cfg.Locations.AddReplica(k, node)
+	if nodes := rt.cfg.Pool.Nodes(); len(nodes) > 0 {
+		rt.cfg.Locations.AddReplica(k, nodes[0].Name())
 	}
 }
 
@@ -580,10 +549,10 @@ func (rt *Runtime) quotaLocked(id int64, tenant string) (holds int, out autoscal
 	switch out = rt.cfg.Admission.Submit(tenant, id); out {
 	case autoscale.Queued:
 		rt.tenants[id] = tenant
-		rt.eng.RecordAdmission(1, 0)
+		rt.Engine().RecordAdmission(1, 0)
 		return 1, out
 	case autoscale.Rejected:
-		rt.eng.RecordAdmission(0, 1)
+		rt.Engine().RecordAdmission(0, 1)
 		return 0, out
 	default:
 		rt.tenants[id] = tenant
@@ -616,13 +585,13 @@ func (rt *Runtime) Submit(name string, params ...Param) (*Future, error) {
 	// The engine counts only dependencies whose producer has not already
 	// finished; rt.mu is held through Add so a dependent can never slip in
 	// ahead of its producer's registration.
-	ready := rt.eng.Add(&t.et, res.Deps, holds)
+	ready := rt.Engine().Add(&t.et, res.Deps, holds)
 	if rt.tryRestoreLocked(t) {
 		ready = false
 	}
 	rt.mu.Unlock()
 	if ready {
-		rt.eng.Schedule()
+		rt.Engine().Schedule()
 	}
 	return t.future, nil
 }
@@ -699,13 +668,13 @@ func (rt *Runtime) SubmitAll(reqs []TaskReq) ([]*Future, error) {
 		tasks[j] = t
 		prods[j] = results[j].Deps
 	}
-	ready := rt.eng.AddBatchHolds(ets, prods, holds)
+	ready := rt.Engine().AddBatchHolds(ets, prods, holds)
 	for _, t := range tasks {
 		rt.tryRestoreLocked(t)
 	}
 	rt.mu.Unlock()
 	if ready {
-		rt.eng.Schedule()
+		rt.Engine().Schedule()
 	}
 	return futures, nil
 }
@@ -743,7 +712,7 @@ func (x *coreExecutor) Launch(p engine.Placement) {
 	// stale execution would waste a core and clobber the re-run's cancel
 	// hook. rt.mu is held, so a concurrent FailNode's onKill — which also
 	// takes rt.mu — cannot interleave between this check and the store.
-	if !rt.eng.Current(p.Task.ID, p.Epoch) {
+	if !rt.Engine().Current(p.Task.ID, p.Epoch) {
 		rt.mu.Unlock()
 		cancel()
 		return
@@ -876,7 +845,7 @@ func (rt *Runtime) execute(ctx context.Context, cancel context.CancelFunc, t *rt
 	// orphaned by a node failure must not clobber the versions its
 	// recovery re-run will publish.
 	rt.mu.Lock()
-	if rt.eng.Current(t.et.ID, epoch) {
+	if rt.Engine().Current(t.et.ID, epoch) {
 		for i, w := range t.writes {
 			if err != nil {
 				rt.values[w] = versionSlot{err: err}
@@ -906,22 +875,15 @@ func (rt *Runtime) execute(ctx context.Context, cancel context.CancelFunc, t *rt
 	// frees every dependent under one lock acquisition, and immediately
 	// runs the next placement wave. A stale completion — the placement was
 	// invalidated by a fault — is rejected; the relaunched execution owns
-	// the future and the books.
-	var (
-		comp engine.Completion
-		ok   bool
-	)
-	if rt.ckpt != nil {
-		// Complete and notify the checkpointer before the next placement
-		// wave, so an every-N policy captures the same post-completion,
-		// pre-placement state the simulator captures.
-		if comp, ok = rt.eng.Complete(t.et.ID, epoch, err != nil); ok {
-			rt.ckpt.TaskCompleted()
-		}
-		rt.eng.Schedule()
-	} else {
-		comp, ok = rt.eng.CompleteSchedule(t.et.ID, epoch, err != nil)
+	// the future and the books. The checkpointer is notified between the
+	// completion and the wave, with no other wave able to interleave, so
+	// an every-N policy captures the same post-completion, pre-placement
+	// state the simulator captures.
+	var onDone func()
+	if ck := rt.Checkpointer(); ck != nil {
+		onDone = ck.TaskCompleted
 	}
+	comp, ok := rt.Engine().CompleteSchedule(t.et.ID, epoch, err != nil, onDone)
 	if !ok {
 		return
 	}
@@ -963,13 +925,13 @@ func (rt *Runtime) releaseAdmitted(id int64) {
 	woke := false
 	for _, rel := range rt.cfg.Admission.Complete(tenant) {
 		if rid, isID := rel.Payload.(int64); isID {
-			if rt.eng.ReleaseHold(rid) {
+			if rt.Engine().ReleaseHold(rid) {
 				woke = true
 			}
 		}
 	}
 	if woke {
-		rt.eng.Schedule()
+		rt.Engine().Schedule()
 	}
 }
 
@@ -982,8 +944,8 @@ func (rt *Runtime) WaitOn(h *Handle) (any, error) {
 	rt.mu.Lock()
 	ver := rt.proc.CurrentVersion(h.id)
 	var futs []*Future
-	if id, ok := rt.eng.Producer(transfer.KeyOf(ver)); ok {
-		if et, found := rt.eng.Task(id); found {
+	if id, ok := rt.Engine().Producer(transfer.KeyOf(ver)); ok {
+		if et, found := rt.Engine().Task(id); found {
 			if t, isTask := et.Payload.(*rtTask); isTask {
 				futs = append(futs, t.future)
 			}
@@ -1009,14 +971,14 @@ func (rt *Runtime) WaitOn(h *Handle) (any, error) {
 func (rt *Runtime) Barrier() {
 	for {
 		var pending []*Future
-		rt.eng.Each(func(et *engine.Task) {
+		rt.Engine().Each(func(et *engine.Task) {
 			if t, ok := et.Payload.(*rtTask); ok && !t.future.Done() {
 				pending = append(pending, t.future)
 			}
 		})
 		if len(pending) == 0 {
-			if rt.ckpt != nil {
-				rt.ckpt.Drained() // the on-drain checkpoint trigger
+			if ck := rt.Checkpointer(); ck != nil {
+				ck.Drained() // the on-drain checkpoint trigger
 			}
 			return
 		}
@@ -1039,67 +1001,29 @@ func (rt *Runtime) Stats() Stats {
 	return Stats{Submitted: int(rt.nextTask), DepsEdges: rt.proc.Stats()}
 }
 
-// EngineStats exposes the shared scheduling engine's counters (launches,
-// transfer accounting) — comparable one-to-one with the simulator's.
-func (rt *Runtime) EngineStats() engine.Stats { return rt.eng.Stats() }
-
-// Timings exposes the engine's per-task latency milestones
-// (submit→ready→start→done on the wall clock), in registration order.
-func (rt *Runtime) Timings() []engine.Timing { return rt.eng.Timings() }
-
-// FailNode implements the faults.Injector crash for the live runtime: the
-// engine removes the node, kills its running tasks (their placements'
-// epochs are invalidated, so their goroutines' eventual completions are
-// rejected) and resubmits them through lineage recovery; on top of that,
-// each killed execution's context is cancelled so cancellation-aware task
-// bodies stop immediately — the live equivalent of the simulator
-// discarding a completion event. Futures of killed tasks stay open until
-// their recovery re-execution delivers a result.
-func (rt *Runtime) FailNode(name string) (engine.FailReport, error) {
-	return rt.eng.FailNode(name, func(et *engine.Task) {
-		t, ok := et.Payload.(*rtTask)
-		if !ok {
-			return
-		}
-		rt.mu.Lock()
-		cancel := t.cancel
-		rt.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-	})
+// cancelKilled is the driver's OnKill hook: each execution a crash kills
+// has its context cancelled, so cancellation-aware task bodies stop
+// immediately — the live equivalent of the simulator discarding a
+// completion event. Futures of killed tasks stay open until their
+// recovery re-execution delivers a result.
+func (rt *Runtime) cancelKilled(et *engine.Task) {
+	t, ok := et.Payload.(*rtTask)
+	if !ok {
+		return
+	}
+	rt.mu.Lock()
+	cancel := t.cancel
+	rt.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
 }
-
-// SlowNode implements the faults.Injector slow-node. Real execution speed
-// cannot be stretched, but placements on the node are marked degraded
-// (Placement.SlowFactor) and the event is traced, so drills and
-// duration-model consumers observe the same script as the simulator.
-func (rt *Runtime) SlowNode(name string, factor float64) error {
-	return rt.eng.SlowNode(name, factor)
-}
-
-// DrainNode implements the faults.Injector drain: running tasks finish,
-// new placements avoid the node.
-func (rt *Runtime) DrainNode(name string) error { return rt.eng.DrainNode(name) }
-
-// Partition implements the faults.Injector link cut (requires Config.Net).
-func (rt *Runtime) Partition(a, b string) error { return rt.eng.Partition(a, b) }
-
-// Heal restores a link cut by Partition.
-func (rt *Runtime) Heal(a, b string) error { return rt.eng.Heal(a, b) }
 
 // Pool exposes the node pool (for agents that add/remove resources at
 // execution time, paper Sec. VI-B). After growing the pool mid-run,
 // call RevalidateAvailability so tasks parked on unreachable data get a
 // chance on the new capacity.
 func (rt *Runtime) Pool() *resources.Pool { return rt.cfg.Pool }
-
-// RevalidateAvailability wakes every task parked by the availability
-// policy (Config.Availability) and runs a placement wave — call it after
-// adding nodes to the pool, since a new node may sit on the reachable
-// side of a partition. Tasks whose data is still unobtainable re-park.
-// Returns the number of tasks woken.
-func (rt *Runtime) RevalidateAvailability() int { return rt.eng.RevalidateAvailability() }
 
 // CurrentVersion reports the newest registered version of a handle.
 func (rt *Runtime) CurrentVersion(h *Handle) deps.Version {
@@ -1112,52 +1036,22 @@ func (rt *Runtime) CurrentVersion(h *Handle) deps.Version {
 // parity suite can compare decision sequences one-to-one. Grown and
 // reclaimed capacity is usable immediately (a logical pool has no
 // provisioning delay); removal is final, the drain having landed
-// through the engine cordon beforehand. Normally driven by
-// StartAutoscaler's ticker; exported for tests that control instants.
+// through the engine cordon beforehand.
 func (rt *Runtime) AutoscaleStep() autoscale.Action {
-	act := rt.cfg.Autoscale.Step(rt.cfg.Pool, autoscale.Snapshot(rt.eng, rt.cfg.Pool, rt.now()))
+	act := rt.cfg.Autoscale.Step(rt.cfg.Pool, autoscale.Snapshot(rt.Engine(), rt.cfg.Pool, rt.now()))
 	switch act.Kind {
 	case autoscale.Reclaimed:
 		rt.cfg.Tracer.Record(trace.Event{At: rt.now(), Kind: trace.NodeUndrained, Node: act.Node.Name()})
-		rt.eng.RevalidateAvailability()
+		rt.Engine().RevalidateAvailability()
 	case autoscale.Grew:
 		rt.cfg.Tracer.Record(trace.Event{At: rt.now(), Kind: trace.NodeAdded, Node: act.Node.Name()})
 		// The new node may be the first that can reach parked data:
 		// re-validate along with the placement wave.
-		rt.eng.RevalidateAvailability()
+		rt.Engine().RevalidateAvailability()
 	case autoscale.Removed:
 		rt.cfg.Tracer.Record(trace.Event{At: rt.now(), Kind: trace.NodeRemoved, Node: act.Node.Name()})
 	}
 	return act
-}
-
-// StartAutoscaler arms a wall-clock ticker driving one AutoscaleStep
-// every interval, until Shutdown. No-op without Config.Autoscale or
-// when already started.
-func (rt *Runtime) StartAutoscaler(every time.Duration) {
-	if rt.cfg.Autoscale == nil {
-		return
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.autoStop != nil || rt.stopped {
-		return
-	}
-	stop, done := make(chan struct{}), make(chan struct{})
-	rt.autoStop, rt.autoDone = stop, done
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				rt.AutoscaleStep()
-			}
-		}
-	}()
 }
 
 // Shutdown drains running tasks. Pending-but-unstarted tasks still run;
@@ -1170,36 +1064,11 @@ func (rt *Runtime) Shutdown() {
 		return
 	}
 	rt.stopped = true
-	stop, done := rt.autoStop, rt.autoDone
-	rt.autoStop, rt.autoDone = nil, nil
 	rt.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
 
 	rt.Barrier()
 	rt.wg.Wait()
-	if rt.ckpt != nil {
-		rt.ckpt.Stop()
+	if ck := rt.Checkpointer(); ck != nil {
+		ck.Stop()
 	}
-	rt.smp.Stop()
-}
-
-// StartSampler arms a wall-clock ticker that snapshots Config.Metrics
-// into an in-memory time-series every interval, stamped on the runtime's
-// epoch (the engine's time base), until Shutdown. Returns the sampler
-// for reading the series, or nil when Config.Metrics is unset. The live
-// counterpart of the simulator's deterministic virtual-clock sampling.
-func (rt *Runtime) StartSampler(every time.Duration) *obsv.Sampler {
-	if rt.cfg.Metrics == nil {
-		return nil
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.smp == nil {
-		rt.smp = obsv.NewSampler(rt.cfg.Metrics)
-		rt.smp.Start(rt.epoch, every)
-	}
-	return rt.smp
 }

@@ -201,9 +201,6 @@ func NewProcessor(opts ...Option) *Processor {
 	return p
 }
 
-// RenamingEnabled reports whether version renaming is on.
-func (p *Processor) RenamingEnabled() bool { return p.renaming }
-
 // Stats returns edge counts by kind, summed over the stripes.
 func (p *Processor) Stats() Stats {
 	var total Stats
@@ -440,16 +437,4 @@ func mergeDir(a, b Direction) Direction {
 	// Mixing a group direction with anything else degrades to the
 	// conservative InOut (serialised read-modify-write).
 	return InOut
-}
-
-// SetInitialWriter marks version 0 of a datum as produced externally (e.g. a
-// file staged in before the run). It is a no-op if the datum was already
-// accessed.
-func (p *Processor) SetInitialWriter(d DataID) {
-	s := &p.shards[shardIndex(d)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.data[d]; !ok {
-		s.data[d] = &dataState{lastWriter: NoTask}
-	}
 }

@@ -14,11 +14,11 @@
 // through a Timer — the simulator arms them on its virtual clock
 // (liveness-gated, so a self-re-arming interval event cannot keep a
 // drained or wedged simulation ticking), the live runtime on a
-// wall-clock timer — and both backends implement Source by delegating
-// to engine.SnapshotTasks plus their own extras (the live runtime
-// attaches gob-encoded output values so futures can be re-seeded on
-// restore). Both notify the Checkpointer after each completion and
-// before the next placement wave, so an every-N snapshot captures the
+// wall-clock timer — and internal/driver implements Source once for
+// both backends by delegating to engine.SnapshotTasks plus the backend's
+// extras (the live runtime attaches gob-encoded output values so futures
+// can be re-seeded on restore). Both notify the Checkpointer after each
+// completion and before the next placement wave, so an every-N snapshot captures the
 // identical post-completion, pre-placement state on either backend —
 // the invariant the checkpoint parity suite compares with Equivalent.
 //

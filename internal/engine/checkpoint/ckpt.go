@@ -16,19 +16,13 @@ type Timer interface {
 	At(t time.Duration, fn func())
 }
 
-// Source produces snapshots. Both backends implement it — the simulator
-// and the live runtime each capture the shared engine's state plus their
-// own extras (the live runtime attaches encoded output values).
+// Source produces snapshots. internal/driver implements it once for
+// both backends: the shared engine capture plus the backend's extras
+// (the live runtime attaches encoded output values).
 type Source interface {
+	// CheckpointSnapshot captures the full state without touching the
+	// dirty sets (the on-demand and drain saves).
 	CheckpointSnapshot() *Snapshot
-}
-
-// DeltaSource is the incremental-capture extension of Source. Both
-// backends implement it; the Checkpointer uses it when Config.Delta is
-// set (for chained delta saves) and — regardless of mode — to skip
-// automatic captures when nothing changed since the last one.
-type DeltaSource interface {
-	Source
 	// CheckpointBase captures the full state and resets the dirty sets,
 	// starting (or compacting) a delta chain.
 	CheckpointBase() *Snapshot
@@ -60,8 +54,7 @@ type Config struct {
 	// Delta switches automatic saves to incremental mode: a full base
 	// first, then deltas carrying only the changes since the previous
 	// save, with a fresh base (compaction) every CompactEvery deltas.
-	// Requires the source to implement DeltaSource; on-demand Save and
-	// the drain save always write full snapshots.
+	// On-demand Save and the drain save always write full snapshots.
 	Delta bool
 	// CompactEvery is the number of consecutive deltas after which the
 	// next automatic save writes a full base instead (default
@@ -90,7 +83,6 @@ type Checkpointer struct {
 	skipped     int // automatic captures skipped because nothing changed
 	chainLen    int // deltas since the last base
 	haveBase    bool
-	lastSeq     int
 	lastErr     error
 	stopped     bool
 }
@@ -156,21 +148,15 @@ func (c *Checkpointer) Save() error {
 	start := time.Now()
 	snap := c.src.CheckpointSnapshot()
 	c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
-	return c.commitSnap(snap)
+	return c.commitFull(snap, false)
 }
 
-// autoSave is the policy-triggered capture path. With a DeltaSource it
-// is change-aware: the first save writes a base, an idle trigger (no
-// changes since the last capture) is skipped outright instead of paying
-// a full graph walk for a no-op snapshot, and — in delta mode — the
-// steady state writes chained deltas with a compacting base every
-// CompactEvery. Sources without delta support keep the historical
-// full-capture-every-trigger behaviour.
+// autoSave is the policy-triggered capture path. It is change-aware:
+// the first save writes a base, an idle trigger (no changes since the
+// last capture) is skipped outright instead of paying a full graph walk
+// for a no-op snapshot, and — in delta mode — the steady state writes
+// chained deltas with a compacting base every CompactEvery.
 func (c *Checkpointer) autoSave() error {
-	ds, ok := c.src.(DeltaSource)
-	if !ok {
-		return c.Save()
-	}
 	c.mu.Lock()
 	compact := c.cfg.CompactEvery
 	if compact <= 0 {
@@ -180,7 +166,7 @@ func (c *Checkpointer) autoSave() error {
 	switch {
 	case !c.haveBase:
 		// first capture: a chain needs a base beneath it
-	case ds.CheckpointDirty() == 0:
+	case c.src.CheckpointDirty() == 0:
 		kind = "skip"
 	case c.cfg.Delta && c.chainLen < compact:
 		kind = "delta"
@@ -193,22 +179,23 @@ func (c *Checkpointer) autoSave() error {
 		c.mu.Unlock()
 		return nil
 	case "delta":
-		c.cfg.Metrics.DirtyRecords.Observe(float64(ds.CheckpointDirty()))
+		c.cfg.Metrics.DirtyRecords.Observe(float64(c.src.CheckpointDirty()))
 		start := time.Now()
-		d := ds.CheckpointDelta()
+		d := c.src.CheckpointDelta()
 		c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
 		return c.commitDelta(d)
 	default:
 		start := time.Now()
-		snap := ds.CheckpointBase()
+		snap := c.src.CheckpointBase()
 		c.cfg.Metrics.CaptureSeconds.ObserveDuration(time.Since(start))
-		return c.commitBase(snap)
+		return c.commitFull(snap, true)
 	}
 }
 
-// commitSnap persists a full snapshot that does NOT reset dirty sets
-// (explicit Save); it leaves the chain bookkeeping untouched.
-func (c *Checkpointer) commitSnap(snap *Snapshot) error {
+// commitFull persists a full snapshot. base marks a chain-starting
+// capture (dirty sets already reset by it); an explicit Save is not one
+// and leaves the chain bookkeeping untouched.
+func (c *Checkpointer) commitFull(snap *Snapshot, base bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.stopped {
@@ -221,29 +208,10 @@ func (c *Checkpointer) commitSnap(snap *Snapshot) error {
 	}
 	c.saves++
 	c.cfg.Metrics.Saves.Inc()
-	c.lastSeq = snap.Seq
-	c.traceSavedLocked(snap.At, path)
-	return nil
-}
-
-// commitBase persists a chain-starting base (dirty sets already reset by
-// the capture).
-func (c *Checkpointer) commitBase(snap *Snapshot) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return nil
+	if base {
+		c.haveBase = true
+		c.chainLen = 0
 	}
-	path, err := c.cfg.Store.Save(snap)
-	if err != nil {
-		c.lastErr = err
-		return err
-	}
-	c.saves++
-	c.cfg.Metrics.Saves.Inc()
-	c.haveBase = true
-	c.chainLen = 0
-	c.lastSeq = snap.Seq
 	c.traceSavedLocked(snap.At, path)
 	return nil
 }
@@ -270,7 +238,6 @@ func (c *Checkpointer) commitDelta(d *Delta) error {
 	c.cfg.Metrics.Saves.Inc()
 	c.cfg.Metrics.DeltaSaves.Inc()
 	c.chainLen++
-	c.lastSeq = d.Seq
 	c.traceSavedLocked(d.At, path)
 	return nil
 }
@@ -311,14 +278,6 @@ func (c *Checkpointer) Skipped() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.skipped
-}
-
-// LastSeq returns the sequence number of the newest persisted snapshot
-// (0 if none).
-func (c *Checkpointer) LastSeq() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastSeq
 }
 
 // Err returns the most recent save error, if any.

@@ -1101,13 +1101,23 @@ func (e *Engine) Complete(id int64, epoch int, failed bool) (Completion, bool) {
 	return e.completeLocked(id, epoch, failed)
 }
 
-// CompleteSchedule is Complete immediately followed by a placement wave,
-// sharing one lock acquisition — the completion fast path for backends
-// that do not coalesce waves.
-func (e *Engine) CompleteSchedule(id int64, epoch int, failed bool) (Completion, bool) {
+// CompleteSchedule is Complete immediately followed by a placement wave —
+// the completion path for backends that do not coalesce waves. With a
+// nil onDone both share one lock acquisition. A non-nil onDone runs
+// after an accepted completion and before the wave, outside the task
+// lock but under the launch lock, so no other goroutine's wave can slip
+// in between: a checkpoint captured there sees exactly the
+// post-completion, pre-placement state. onDone may read the engine but
+// must not call Schedule or CompleteSchedule.
+func (e *Engine) CompleteSchedule(id int64, epoch int, failed bool, onDone func()) (Completion, bool) {
 	e.launchMu.Lock()
 	e.mu.Lock()
 	c, ok := e.completeLocked(id, epoch, failed)
+	if ok && onDone != nil {
+		e.mu.Unlock()
+		onDone()
+		e.mu.Lock()
+	}
 	e.launch = e.placeWaveLocked(e.launch[:0])
 	e.mu.Unlock()
 	for _, p := range e.launch {

@@ -295,7 +295,8 @@ func TestFaultUnknownNodeParity(t *testing.T) {
 	}
 
 	// Live runtime: same script, same verdict.
-	rt := core.New(core.Config{Pool: faultParityPool(), Policy: sched.FIFO{}})
+	liveTr := trace.New()
+	rt := core.New(core.Config{Pool: faultParityPool(), Policy: sched.FIFO{}, Tracer: liveTr})
 	defer rt.Shutdown()
 	if _, err := rt.FailNode("ghost"); err == nil {
 		t.Fatal("live FailNode(ghost) succeeded, want error")
@@ -306,5 +307,9 @@ func TestFaultUnknownNodeParity(t *testing.T) {
 	}
 	if _, err := rt.FailNode("n2"); err == nil {
 		t.Fatal("second FailNode(n2) succeeded, want error")
+	}
+	// Both rejected crashes leave the same audit trail as on the sim.
+	if got := liveTr.Count(trace.FaultIgnored); got != 2 {
+		t.Fatalf("live recorded %d ignored faults, want 2", got)
 	}
 }

@@ -1,7 +1,9 @@
 // Package infra simulates an advanced cyberinfrastructure platform — the
 // substitute for the paper's MareNostrum runs, cloud deployments and fog
 // testbeds (DESIGN.md §4). It is a discrete-event backend over virtual time
-// (internal/simclock) of the shared scheduling engine (internal/engine):
+// (internal/simclock) of the shared scheduling engine (internal/engine),
+// built and driven through the backend driver it shares with the live
+// runtime (internal/driver):
 // tasks declare data accesses, the access processor derives the dependency
 // graph, and the engine's sharded ready-queue and placement loop — the very
 // same code the live runtime (internal/core) executes — place ready tasks
@@ -27,6 +29,7 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/deps"
+	"repro/internal/driver"
 	"repro/internal/energy"
 	"repro/internal/engine"
 	"repro/internal/engine/checkpoint"
@@ -198,15 +201,16 @@ type Result struct {
 	DepEdges deps.Stats
 }
 
-// Sim is one simulation instance. Build with New, then Run once.
+// Sim is one simulation instance. Build with New, then Run once. The
+// embedded driver supplies the engine, checkpointing and the fault
+// surface (faults.Injector) shared with the live runtime.
 type Sim struct {
+	*driver.Driver
 	cfg   Config
 	clock *simclock.Clock
 	reg   *transfer.Registry
 	acct  *energy.Accountant
 	proc  *deps.Processor
-	eng   *engine.Engine
-	ckpt  *checkpoint.Checkpointer
 	smp   *obsv.Sampler
 
 	result        Result
@@ -258,6 +262,10 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 	if cfg.Admission != nil && cfg.Admission.Quota().MaxQueued > 0 {
 		return nil, fmt.Errorf("%w: the simulator requires an unbounded admission queue (Quota.MaxQueued == 0)", ErrConfig)
 	}
+	if cfg.Restore != nil && cfg.Restore.Format != checkpoint.Format {
+		return nil, fmt.Errorf("%w: snapshot format %d, want %d",
+			ErrConfig, cfg.Restore.Format, checkpoint.Format)
+	}
 	var procOpts []deps.Option
 	if cfg.DisableRenaming {
 		procOpts = append(procOpts, deps.WithoutRenaming())
@@ -277,23 +285,30 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 	if cfg.Metrics != nil && cfg.SampleEvery > 0 {
 		s.smp = obsv.NewSampler(cfg.Metrics)
 	}
-	s.eng = engine.New(engine.Config{
-		Pool:         cfg.Pool,
-		Policy:       cfg.Policy,
-		Clock:        s.clock,
-		Executor:     &simExecutor{s},
-		Metrics:      obsv.NewEngineMetrics(cfg.Metrics),
-		Registry:     s.reg,
-		Net:          cfg.Net,
-		PersistNode:  cfg.PersistNode,
-		Tracer:       cfg.Tracer,
-		Steal:        cfg.Steal,
-		Availability: cfg.Availability,
-		SchedContext: &sched.Context{
-			Registry:  s.reg,
-			Net:       cfg.Net,
-			Predictor: cfg.Predictor,
+	// The checkpointer's interval timer is the virtual clock, which does
+	// not advance before Run, so the restore below still lands first.
+	s.Driver = driver.New(driver.Config{
+		Engine: engine.Config{
+			Pool:         cfg.Pool,
+			Policy:       cfg.Policy,
+			Clock:        s.clock,
+			Executor:     &simExecutor{s},
+			Registry:     s.reg,
+			Net:          cfg.Net,
+			PersistNode:  cfg.PersistNode,
+			Tracer:       cfg.Tracer,
+			Steal:        cfg.Steal,
+			Availability: cfg.Availability,
+			SchedContext: &sched.Context{
+				Registry:  s.reg,
+				Net:       cfg.Net,
+				Predictor: cfg.Predictor,
+			},
 		},
+		Metrics:    cfg.Metrics,
+		Checkpoint: cfg.Checkpoint,
+		Timer:      ckptTimer{s},
+		Autoscale:  cfg.Autoscale,
 	})
 
 	// Stage in external data.
@@ -363,7 +378,7 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 		if cfg.Admission != nil {
 			s.tenantOf[spec.ID] = spec.Tenant
 		}
-		s.eng.Add(et, res.Deps, holds)
+		s.Engine().Add(et, res.Deps, holds)
 	}
 
 	for _, n := range cfg.Pool.Nodes() {
@@ -372,31 +387,10 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 	if cfg.Elastic != nil {
 		// Downscale victims are cordoned through the engine, so the drain
 		// lands on the scheduler's books (and the trace) before removal.
-		cfg.Elastic.SetCordon(s.eng.DrainNode)
-	}
-	if cfg.Autoscale != nil {
-		// Same cordon route for every variant the autoscaler manages.
-		cfg.Autoscale.SetCordon(s.eng.DrainNode)
+		cfg.Elastic.SetCordon(s.Engine().DrainNode)
 	}
 	if cfg.Restore != nil {
-		if cfg.Restore.Format != checkpoint.Format {
-			return nil, fmt.Errorf("%w: snapshot format %d, want %d",
-				ErrConfig, cfg.Restore.Format, checkpoint.Format)
-		}
 		s.applyRestore(cfg.Restore)
-	}
-	if cfg.Checkpoint != nil && cfg.Checkpoint.Store != nil {
-		ck := *cfg.Checkpoint
-		if ck.Timer == nil {
-			ck.Timer = ckptTimer{s}
-		}
-		if ck.Tracer == nil {
-			ck.Tracer = cfg.Tracer
-		}
-		if ck.Metrics == nil && cfg.Metrics != nil {
-			ck.Metrics = obsv.NewCkptMetrics(cfg.Metrics)
-		}
-		s.ckpt = checkpoint.NewCheckpointer(ck, s)
 	}
 	return s, nil
 }
@@ -476,7 +470,7 @@ func (s *Sim) applyRestore(snap *checkpoint.Snapshot) {
 		if !alive {
 			continue
 		}
-		if s.eng.RestoreCompleted(rec.ID, rec.Epoch) {
+		if s.Engine().RestoreCompleted(rec.ID, rec.Epoch) {
 			restored++
 			s.remaining--
 			if s.cfg.Admission != nil {
@@ -514,37 +508,6 @@ func (s *Sim) restageTarget(k transfer.Key) string {
 	return best
 }
 
-// CheckpointSnapshot implements checkpoint.Source: the engine's task
-// table plus the simulator's location registry as the data catalog.
-func (s *Sim) CheckpointSnapshot() *checkpoint.Snapshot {
-	return checkpoint.Capture(s.eng, s.reg)
-}
-
-// CheckpointBase implements checkpoint.DeltaSource: a full capture that
-// resets the dirty sets, starting (or compacting) a delta chain.
-func (s *Sim) CheckpointBase() *checkpoint.Snapshot {
-	return checkpoint.CaptureBase(s.eng, s.reg)
-}
-
-// CheckpointDelta implements checkpoint.DeltaSource: the changes since
-// the last base or delta capture.
-func (s *Sim) CheckpointDelta() *checkpoint.Delta {
-	return checkpoint.CaptureDelta(s.eng, s.reg)
-}
-
-// CheckpointDirty implements checkpoint.DeltaSource.
-func (s *Sim) CheckpointDirty() int {
-	return s.eng.DirtyCount() + s.reg.DirtyCount()
-}
-
-// Checkpoint takes an on-demand snapshot (requires Config.Checkpoint).
-func (s *Sim) Checkpoint() error {
-	if s.ckpt == nil {
-		return fmt.Errorf("%w: no checkpoint store configured", ErrConfig)
-	}
-	return s.ckpt.Save()
-}
-
 // simExecutor adapts the simulation to engine.Executor: each placement
 // becomes a completion event on the virtual clock, delayed by the modelled
 // staging time plus the speed-scaled compute time (stretched by any
@@ -568,7 +531,7 @@ func (x *simExecutor) Launch(p engine.Placement) {
 // finish handles one completion event. Stale events (from a placement
 // that a node failure cancelled) are rejected by the engine's epoch check.
 func (s *Sim) finish(id int64, ran time.Duration, epoch int) {
-	comp, ok := s.eng.Complete(id, epoch, false)
+	comp, ok := s.Engine().Complete(id, epoch, false)
 	if !ok {
 		return
 	}
@@ -595,15 +558,15 @@ func (s *Sim) finish(id int64, ran time.Duration, epoch int) {
 		// join the deferred placement wave below.
 		for _, rel := range s.cfg.Admission.Complete(s.tenantOf[id]) {
 			if rid, ok := rel.Payload.(int64); ok {
-				s.eng.ReleaseHold(rid)
+				s.Engine().ReleaseHold(rid)
 			}
 		}
 	}
-	if s.ckpt != nil {
+	if ck := s.Checkpointer(); ck != nil {
 		// Snapshot before the deferred placement wave, so an every-N
 		// policy captures the same post-completion, pre-placement state
 		// on both backends (the checkpoint parity invariant).
-		s.ckpt.TaskCompleted()
+		ck.TaskCompleted()
 	}
 	s.deferSchedule()
 }
@@ -616,23 +579,23 @@ func (s *Sim) admitRelease(id int64) {
 		return // resolved from a snapshot; never ran, never admitted
 	}
 	if s.cfg.Admission == nil {
-		if s.eng.ReleaseHold(id) {
-			s.eng.Schedule()
+		if s.Engine().ReleaseHold(id) {
+			s.Engine().Schedule()
 		}
 		return
 	}
 	switch s.cfg.Admission.Submit(s.tenantOf[id], id) {
 	case autoscale.Admitted:
-		if s.eng.ReleaseHold(id) {
-			s.eng.Schedule()
+		if s.Engine().ReleaseHold(id) {
+			s.Engine().Schedule()
 		}
 	case autoscale.Queued:
-		s.eng.RecordAdmission(1, 0)
+		s.Engine().RecordAdmission(1, 0)
 	case autoscale.Rejected:
 		// Unreachable: New rejects bounded admission queues on this
 		// backend (a preregistered task has no client to bounce to, and
 		// dropping it would wedge the run).
-		s.eng.RecordAdmission(0, 1)
+		s.Engine().RecordAdmission(0, 1)
 	}
 }
 
@@ -646,7 +609,7 @@ func (s *Sim) deferSchedule() {
 	s.schedDeferred = true
 	s.clock.Defer(func() {
 		s.schedDeferred = false
-		s.eng.Schedule()
+		s.Engine().Schedule()
 	})
 }
 
@@ -705,11 +668,11 @@ func (s *Sim) Run() (Result, error) {
 		s.clock.After(s.cfg.SampleEvery, tick)
 	}
 
-	s.eng.Schedule()
+	s.Engine().Schedule()
 	for s.remaining > 0 && !s.halted {
 		if !s.clock.Step() {
 			if s.err == nil {
-				if parked := s.eng.ParkedCount(); parked > 0 {
+				if parked := s.Engine().ParkedCount(); parked > 0 {
 					s.err = fmt.Errorf("%w: %d tasks remain at %v (%d parked on unreachable data — a scripted cut never healed?)",
 						ErrStuck, s.remaining, s.clock.Now(), parked)
 				} else {
@@ -725,15 +688,15 @@ func (s *Sim) Run() (Result, error) {
 	if s.halted && s.remaining > 0 && s.err == nil {
 		s.err = fmt.Errorf("%w: %d tasks unfinished at %v", ErrHalted, s.remaining, s.clock.Now())
 	}
-	if s.remaining == 0 && s.ckpt != nil {
-		s.ckpt.Drained()
+	if ck := s.Checkpointer(); s.remaining == 0 && ck != nil {
+		ck.Drained()
 	}
 	// One closing sample at the makespan instant, so every series ends on
 	// the run's final state (still deterministic — virtual timestamp).
 	s.smp.Sample(s.clock.Now())
 	s.result.Makespan = s.clock.Now()
 	s.result.DepEdges = s.proc.Stats()
-	st := s.eng.Stats()
+	st := s.Engine().Stats()
 	s.result.BytesMoved = st.BytesMoved + s.restageBytes
 	s.result.TransferTime = st.TransferTime + s.restageTime
 	s.result.TasksDeferred = st.Deferred
@@ -763,60 +726,18 @@ func (s *Sim) Run() (Result, error) {
 	return s.result, s.err
 }
 
-// Timings exposes the engine's per-task latency milestones
-// (submit→ready→start→done in virtual time), in registration order.
-// Call it after Run for a consistent view.
-func (s *Sim) Timings() []engine.Timing { return s.eng.Timings() }
-
-// FailNode implements faults.Injector: the engine kills, deregisters and
-// resubmits; the simulator only keeps score. Faults targeting unknown or
-// already-dead nodes are recorded as ignored in the trace instead of
-// silently diverging from the live backend.
+// FailNode implements faults.Injector: the driver kills, deregisters and
+// resubmits (and traces a rejected crash as ignored); the simulator only
+// keeps score.
 func (s *Sim) FailNode(name string) (engine.FailReport, error) {
-	rep, err := s.eng.FailNode(name, nil)
-	if err != nil {
-		s.traceIgnored(name, err)
-		return rep, err
-	}
+	rep, err := s.Driver.FailNode(name)
 	s.result.TasksFailed += len(rep.Killed)
-	return rep, nil
-}
-
-// SlowNode implements faults.Injector.
-func (s *Sim) SlowNode(name string, factor float64) error {
-	if err := s.eng.SlowNode(name, factor); err != nil {
-		s.traceIgnored(name, err)
-		return err
-	}
-	return nil
-}
-
-// DrainNode implements faults.Injector.
-func (s *Sim) DrainNode(name string) error {
-	if err := s.eng.DrainNode(name); err != nil {
-		s.traceIgnored(name, err)
-		return err
-	}
-	return nil
-}
-
-// Partition implements faults.Injector.
-func (s *Sim) Partition(a, b string) error { return s.eng.Partition(a, b) }
-
-// Heal implements faults.Injector.
-func (s *Sim) Heal(a, b string) error { return s.eng.Heal(a, b) }
-
-// traceIgnored records a no-op fault so scripted scenarios leave the same
-// audit trail on every backend.
-func (s *Sim) traceIgnored(node string, err error) {
-	s.cfg.Tracer.Record(trace.Event{
-		At: s.clock.Now(), Kind: trace.FaultIgnored, Node: node, Info: err.Error(),
-	})
+	return rep, err
 }
 
 // elasticStep applies one elasticity evaluation.
 func (s *Sim) elasticStep() {
-	pending := s.eng.ReadyCount()
+	pending := s.Engine().ReadyCount()
 	switch s.cfg.Elastic.Evaluate(s.cfg.Pool, pending) {
 	case resources.Grow:
 		// A node mid-drain is the cheapest capacity there is: lift its
@@ -825,7 +746,7 @@ func (s *Sim) elasticStep() {
 			s.cfg.Tracer.Record(trace.Event{At: s.clock.Now(), Kind: trace.NodeUndrained, Node: n.Name()})
 			// The reclaimed node may sit on the reachable side of a
 			// partition: re-validate parked work along with the wave.
-			s.eng.RevalidateAvailability()
+			s.Engine().RevalidateAvailability()
 			return
 		}
 		node, delay, err := s.cfg.Elastic.GrowOne(s.cfg.Pool)
@@ -848,7 +769,7 @@ func (s *Sim) elasticStep() {
 				node.Release(hold)
 				// Grown capacity may be the first node that can reach a
 				// parked task's data: re-validate along with the wave.
-				s.eng.RevalidateAvailability()
+				s.Engine().RevalidateAvailability()
 			})
 		}
 	case resources.Shrink:
@@ -873,11 +794,11 @@ func (s *Sim) elasticStep() {
 // so tests (the sim-vs-live parity suite in particular) can drive
 // evaluations at instants they control instead of riding the ticker.
 func (s *Sim) AutoscaleStep() autoscale.Action {
-	act := s.cfg.Autoscale.Step(s.cfg.Pool, autoscale.Snapshot(s.eng, s.cfg.Pool, s.clock.Now()))
+	act := s.cfg.Autoscale.Step(s.cfg.Pool, autoscale.Snapshot(s.Engine(), s.cfg.Pool, s.clock.Now()))
 	switch act.Kind {
 	case autoscale.Reclaimed:
 		s.cfg.Tracer.Record(trace.Event{At: s.clock.Now(), Kind: trace.NodeUndrained, Node: act.Node.Name()})
-		s.eng.RevalidateAvailability()
+		s.Engine().RevalidateAvailability()
 	case autoscale.Grew:
 		node := act.Node
 		s.nodeAdded[node.Name()] = s.clock.Now()
@@ -889,7 +810,7 @@ func (s *Sim) AutoscaleStep() autoscale.Action {
 			// Instant provisioning: capacity is usable in this very
 			// wave, exactly as it is on the live backend — the symmetry
 			// the parity suite depends on.
-			s.eng.RevalidateAvailability()
+			s.Engine().RevalidateAvailability()
 			return act
 		}
 		// Model the provisioning delay by blocking the whole node.
@@ -901,7 +822,7 @@ func (s *Sim) AutoscaleStep() autoscale.Action {
 		if err := node.Reserve(hold); err == nil {
 			s.clock.After(act.Delay, func() {
 				node.Release(hold)
-				s.eng.RevalidateAvailability()
+				s.Engine().RevalidateAvailability()
 			})
 		}
 	case autoscale.Removed:
@@ -918,10 +839,6 @@ func (s *Sim) AutoscaleStep() autoscale.Action {
 
 // Now exposes the simulation clock (useful in tests).
 func (s *Sim) Now() time.Duration { return s.clock.Now() }
-
-// EngineStats exposes the shared scheduling engine's counters (launches,
-// transfer accounting) — comparable one-to-one with the live runtime's.
-func (s *Sim) EngineStats() engine.Stats { return s.eng.Stats() }
 
 // Sampler returns the virtual-clock metrics sampler (nil unless
 // Config.Metrics and Config.SampleEvery are both set). Read it after Run:

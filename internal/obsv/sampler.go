@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -13,7 +12,7 @@ import (
 
 // Point is one sampled value of one series.
 type Point struct {
-	At    time.Duration `json:"at_ns"` // offset from run start (virtual or wall)
+	At    time.Duration `json:"at_ns"` // offset from run start
 	Value float64       `json:"value"`
 }
 
@@ -25,10 +24,9 @@ type TimeSeries struct {
 }
 
 // Sampler snapshots a Registry into in-memory time-series. The caller
-// supplies the clock discipline: in the simulator, arm Sample on the
-// virtual clock (deterministic, byte-identical series run to run); in
-// the live runtime, Start a wall ticker. A nil *Sampler ignores all
-// calls, so backends wire it unconditionally.
+// supplies the clock discipline: the simulator arms Sample on its
+// virtual clock, so series are byte-identical run to run. A nil
+// *Sampler ignores all calls, so backends wire it unconditionally.
 type Sampler struct {
 	reg *Registry
 
@@ -40,9 +38,6 @@ type Sampler struct {
 	// append by position instead of hashing every sample name. Rebuilt
 	// in place whenever the visit order grows a new sample.
 	order []*TimeSeries
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // NewSampler returns a sampler over reg.
@@ -51,7 +46,7 @@ func NewSampler(reg *Registry) *Sampler {
 }
 
 // Sample takes one snapshot of every registry sample, stamped at. Call
-// it from the owning clock: the sim's event loop or the live ticker.
+// it from the owning clock's event loop.
 func (s *Sampler) Sample(at time.Duration) {
 	if s == nil {
 		return
@@ -81,42 +76,6 @@ func (s *Sampler) Sample(at time.Duration) {
 		ts.Points = append(ts.Points, Point{At: at, Value: v})
 		i++
 	})
-}
-
-// Start arms a wall-clock ticker that samples every interval until Stop.
-// Samples are stamped relative to epoch so live series share the
-// engine's time base. Start is for the live runtime only — the sim
-// samples on its virtual clock instead.
-func (s *Sampler) Start(epoch time.Time, every time.Duration) {
-	if s == nil || every <= 0 {
-		return
-	}
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	go func() {
-		defer close(s.done)
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case now := <-t.C:
-				s.Sample(now.Sub(epoch))
-			case <-s.stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop halts a Start-ed ticker and waits for it to exit. Safe to call
-// when Start was never called.
-func (s *Sampler) Stop() {
-	if s == nil || s.stop == nil {
-		return
-	}
-	close(s.stop)
-	<-s.done
-	s.stop = nil
 }
 
 // sortedLocked returns the series in name order. Caller holds s.mu.
@@ -176,18 +135,6 @@ func (s *Sampler) WriteText(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// EncodeJSON writes the series as a deterministic JSON array (series
-// name-sorted, points chronological).
-func (s *Sampler) EncodeJSON(w io.Writer) error {
-	if s == nil {
-		_, err := io.WriteString(w, "[]\n")
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s.Series())
 }
 
 // Summary returns a one-line digest (series count, total points) for

@@ -92,12 +92,6 @@ type ScalePolicy struct {
 	CostPerNodeHour float64
 }
 
-// DefaultScalePolicy grows at 2 pending tasks per core and shrinks when a
-// whole node's worth of cores sits idle.
-func DefaultScalePolicy() ScalePolicy {
-	return ScalePolicy{MinNodes: 0, MaxNodes: 16, TasksPerCore: 2, IdleCoresToShrink: 8}
-}
-
 // ScaleDecision is the outcome of an elasticity evaluation.
 type ScaleDecision int
 

@@ -456,13 +456,6 @@ func (si SigIndex) AppendCapable(dst []*Node) []*Node {
 	return dst
 }
 
-// AnyFitting reports whether some member currently fits c.
-func (si SigIndex) AnyFitting(c Constraints) bool {
-	si.x.mu.Lock()
-	defer si.x.mu.Unlock()
-	return si.s.fitCount > 0
-}
-
 // Len returns the capability-set size (drained members included).
 func (si SigIndex) Len() int {
 	si.x.mu.Lock()

@@ -154,7 +154,7 @@ func (x *executor) Launch(p engine.Placement) {
 
 func (h *harness) complete(id int64, epoch int) {
 	t0 := time.Now()
-	h.eng.CompleteSchedule(id, epoch, false)
+	h.eng.CompleteSchedule(id, epoch, false, nil)
 	h.waveNS = append(h.waveNS, time.Since(t0).Nanoseconds())
 	h.completed++
 }

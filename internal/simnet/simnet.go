@@ -23,9 +23,6 @@ type Link struct {
 	Latency time.Duration
 }
 
-// Valid reports whether the link has a usable bandwidth.
-func (l Link) Valid() bool { return l.BandwidthMBps > 0 }
-
 // TransferTime returns the time to move size bytes over the link.
 func (l Link) TransferTime(size int64) time.Duration {
 	if size <= 0 {
@@ -85,11 +82,6 @@ func (n *Network) SetLink(a, b string, l Link) {
 // SetZone assigns a node to a zone (e.g. "hpc", "cloud", "fog").
 func (n *Network) SetZone(node, zone string) {
 	n.zoneOf[node] = zone
-}
-
-// Zone returns the zone of a node, or "" if unassigned.
-func (n *Network) Zone(node string) string {
-	return n.zoneOf[node]
 }
 
 // SetZoneLink installs the link used between any node in zone a and any node
