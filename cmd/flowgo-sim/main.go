@@ -679,7 +679,7 @@ func parseAutoscale(s string) (*autoscale.Autoscaler, error) {
 			Name: name, Desc: t.desc,
 			Manager: resources.NewElasticManager(
 				resources.NewSimProvider(name, t.desc, t.max, t.delay),
-				resources.ScalePolicy{MaxNodes: t.max, TasksPerCore: 2, CostPerNodeHour: t.cost},
+				resources.ScalePolicy{MaxNodes: t.max, CostPerNodeHour: t.cost},
 			),
 		})
 	}
@@ -689,9 +689,9 @@ func parseAutoscale(s string) (*autoscale.Autoscaler, error) {
 // printScalingSummary reports what the autoscaler and the admission
 // controller did during the run.
 func printScalingSummary(cfg infra.Config) {
-	if cfg.Autoscale != nil {
+	if a, ok := cfg.Autoscale.(*autoscale.Autoscaler); ok {
 		grow, shrink, hold := 0, 0, 0
-		for _, d := range cfg.Autoscale.Decisions() {
+		for _, d := range a.Decisions() {
 			switch {
 			case d.Delta > 0:
 				grow++

@@ -5,16 +5,17 @@
 // index already maintain (per-signature ready depth and fit counts,
 // parked-task counts, busy-core utilization).
 //
-// The analyzer is deliberately split the way resources.ElasticManager
-// is: Evaluate is a scoring function over a Signals snapshot (plus one
-// remembered sample, the previous queue depth) — deterministic for a
-// given snapshot sequence, so sim policy sweeps are byte-reproducible —
-// and Step
+// The analyzer is split in two: Evaluate is a scoring function over a
+// Signals snapshot (plus remembered samples, the previous queue depth
+// and the decayed demand peak) — deterministic for a given snapshot
+// sequence, so sim policy sweeps are byte-reproducible — and Step
 // applies the chosen Decision through the variant's ElasticManager,
 // whose drain-then-remove cycle guarantees a scale-down never kills
 // running work. Both backends (internal/infra on the virtual clock,
-// internal/core on wall time) drive the same Step, so a policy that
-// wins a sim sweep is the policy the live runtime executes.
+// internal/core on wall time) drive the same Step through the Scaler
+// contract, so a policy that wins a sim sweep is the policy the live
+// runtime executes. Legacy is the cost-blind single-tier rule the
+// cost-aware analyzer is benchmarked against, behind the same contract.
 package autoscale
 
 import (
@@ -182,6 +183,16 @@ type Action struct {
 	Node *resources.Node
 	// Delay is the provisioning delay to account for when Kind is Grew.
 	Delay time.Duration
+}
+
+// Scaler is the contract both backends drive on their evaluation
+// period: Step scales the pool once from a Signals snapshot and reports
+// what it did, and SetCordon installs the hook downscale victims are
+// drained through (the engine's DrainNode). The backends apply the
+// returned Action and never need to know which policy produced it.
+type Scaler interface {
+	Step(pool *resources.Pool, sig Signals) Action
+	SetCordon(fn func(name string) error)
 }
 
 // Autoscaler scores scale decisions across tier variants and executes
@@ -639,26 +650,31 @@ func (a *Autoscaler) Step(pool *resources.Pool, sig Signals) Action {
 	d := a.Evaluate(sig)
 	act := Action{Decision: d, Kind: Held}
 	if v := a.variant(d.Variant); v != nil {
-		switch {
-		case d.Delta > 0:
-			if n := v.Manager.Reclaim(); n != nil {
-				act.Kind, act.Node = Reclaimed, n
-				break
-			}
-			if n, delay, err := v.Manager.GrowOne(pool); err == nil {
-				act.Kind, act.Node, act.Delay = Grew, n, delay
-			}
-		case d.Delta < 0:
-			if n, err := v.Manager.ShrinkOne(pool); err == nil {
-				if n != nil {
-					act.Kind, act.Node = Removed, n
-				} else {
-					act.Kind = Draining
-				}
-			}
-		}
+		act = apply(v.Manager, pool, d)
 	}
 	a.record(d, act.Kind)
+	return act
+}
+
+// apply executes one decision through a tier's manager: a grow reclaims
+// a mid-drain node before provisioning a fresh one, a shrink advances
+// the drain-then-remove cycle by one step.
+func apply(m *resources.ElasticManager, pool *resources.Pool, d Decision) Action {
+	act := Action{Decision: d, Kind: Held}
+	switch {
+	case d.Delta > 0:
+		if n := m.Reclaim(); n != nil {
+			act.Kind, act.Node = Reclaimed, n
+		} else if n, delay, err := m.GrowOne(pool); err == nil {
+			act.Kind, act.Node, act.Delay = Grew, n, delay
+		}
+	case d.Delta < 0:
+		if n, err := m.ShrinkOne(pool); err == nil && n != nil {
+			act.Kind, act.Node = Removed, n
+		} else if err == nil {
+			act.Kind = Draining
+		}
+	}
 	return act
 }
 
@@ -692,4 +708,40 @@ func (a *Autoscaler) record(d Decision, kind ActionKind) {
 	default:
 		m.Holds.Inc()
 	}
+}
+
+// Legacy is the cost-blind single-tier rule elasticity shipped with,
+// kept as the baseline the cost-aware Autoscaler is benchmarked
+// against. Its decisions carry no variant and no score.
+type Legacy struct {
+	// Manager acquires and releases the tier's nodes within its
+	// policy's MinNodes and MaxNodes.
+	Manager *resources.ElasticManager
+	// TasksPerCore is the backlog threshold: grow while more ready tasks
+	// than TasksPerCore × pool cores wait.
+	TasksPerCore float64
+	// IdleCoresToShrink is the free-core count a shrink must exceed.
+	IdleCoresToShrink int
+}
+
+// SetCordon implements Scaler.
+func (l Legacy) SetCordon(fn func(name string) error) { l.Manager.SetCordon(fn) }
+
+// Step implements Scaler.
+func (l Legacy) Step(pool *resources.Pool, sig Signals) Action {
+	m, pol := l.Manager, l.Manager.Policy()
+	n, cores := m.ElasticCount(), pool.TotalCores()
+	d := Decision{At: sig.At, Reason: "steady"}
+	switch {
+	case sig.Ready > 0 && m.DrainingCount() > 0:
+		// The draining node is already counted against MaxNodes, so
+		// reclaiming must not be gated on it, or a drained pool would
+		// wedge under load.
+		d.Delta, d.Reason = +1, "reclaim"
+	case sig.Ready > 0 && n < pol.MaxNodes && (cores == 0 || float64(sig.Ready) > l.TasksPerCore*float64(cores)):
+		d.Delta, d.Reason = +1, "backlog"
+	case cores > 0 && sig.Ready == 0 && n > pol.MinNodes && pool.FreeCores() > l.IdleCoresToShrink:
+		d.Delta, d.Reason = -1, "idle"
+	}
+	return apply(m, pool, d)
 }

@@ -33,7 +33,7 @@ func simVariant(name string, desc resources.Description, cost float64, max int) 
 		Desc: desc,
 		Manager: resources.NewElasticManager(
 			resources.NewSimProvider(name, desc, max, 0),
-			resources.ScalePolicy{MaxNodes: max, TasksPerCore: 2, CostPerNodeHour: cost},
+			resources.ScalePolicy{MaxNodes: max, CostPerNodeHour: cost},
 		),
 	}
 }
@@ -373,5 +373,70 @@ func TestNewValidation(t *testing.T) {
 	v := simVariant("dup", resources.FogDevice, 1, 1)
 	if _, err := New(DefaultPolicy(), []Variant{v, v}); err == nil {
 		t.Fatal("New accepted duplicate variant names")
+	}
+}
+
+// The legacy rule grows an empty pool under pending work, keeps growing
+// under backlog up to MaxNodes, then shrinks back to zero once idle,
+// handing every node back to the provider.
+func TestLegacyGrowAndShrink(t *testing.T) {
+	prov := resources.NewSimProvider("cloud", resources.CloudVM, 8, 0)
+	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{MaxNodes: 4})
+	l := Legacy{Manager: mgr, TasksPerCore: 1}
+	pool := resources.NewPool()
+
+	// Empty pool + pending work ⇒ grow.
+	if act := l.Step(pool, Signals{Ready: 10}); act.Kind != Grew {
+		t.Fatalf("action = %v, want grew", act.Kind)
+	}
+	if pool.Len() != 1 || mgr.ElasticCount() != 1 {
+		t.Fatal("grow did not register node")
+	}
+
+	// Massive backlog ⇒ keep growing until MaxNodes.
+	grew := 1
+	for l.Step(pool, Signals{Ready: 1000}).Kind == Grew {
+		grew++
+	}
+	if grew != 4 {
+		t.Fatalf("grew to %d nodes, want MaxNodes=4", grew)
+	}
+
+	// Idle ⇒ shrink back down to MinNodes.
+	shrunk := 0
+	for l.Step(pool, Signals{}).Kind == Removed {
+		shrunk++
+	}
+	if shrunk != 4 || pool.Len() != 0 || prov.Granted() != 0 {
+		t.Fatalf("shrunk %d, pool %d nodes, %d granted", shrunk, pool.Len(), prov.Granted())
+	}
+}
+
+// A load spike mid-drain reclaims the cordoned node instead of paying the
+// provider for a new one.
+func TestLegacyReclaimCancelsDrain(t *testing.T) {
+	prov := resources.NewSimProvider("cloud", resources.CloudVM, 1, 0)
+	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{MaxNodes: 1})
+	l := Legacy{Manager: mgr, TasksPerCore: 1}
+	pool := resources.NewPool()
+	n1, _, _ := mgr.GrowOne(pool)
+	work := resources.Constraints{Cores: 1}
+	if err := n1.Reserve(work); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := mgr.ShrinkOne(pool); v != nil {
+		t.Fatalf("removed busy node %s", v.Name())
+	}
+	// Pending work + a draining node ⇒ reclaim, even at MaxNodes.
+	act := l.Step(pool, Signals{Ready: 5})
+	if act.Kind != Reclaimed || act.Node != n1 {
+		t.Fatalf("action = %v on %v, want reclaimed %s", act.Kind, act.Node, n1.Name())
+	}
+	if n1.Drained() || mgr.DrainingCount() != 0 {
+		t.Fatal("reclaimed node still cordoned")
+	}
+	n1.Release(work)
+	if err := n1.Reserve(work); err != nil {
+		t.Fatalf("reclaimed node refuses work: %v", err)
 	}
 }

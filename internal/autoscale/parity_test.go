@@ -72,7 +72,7 @@ func parityScaler(t *testing.T, predrain bool) *autoscale.Autoscaler {
 			Name: name,
 			Desc: desc,
 			Manager: resources.NewElasticManager(p, resources.ScalePolicy{
-				MaxNodes: max, TasksPerCore: 2, CostPerNodeHour: cost,
+				MaxNodes: max, CostPerNodeHour: cost,
 			}),
 		}
 	}

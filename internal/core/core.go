@@ -219,10 +219,10 @@ type Config struct {
 	// its config carries its own bundle) with observability instruments
 	// registered on this registry; serve it with obsv.Serve. Optional.
 	Metrics *obsv.Registry
-	// Autoscale enables cost-aware pool scaling across heterogeneous
-	// tiers — the same autoscaler the simulator takes, evaluated here on
-	// the wall clock. Drive evaluations with Runtime.AutoscaleStep.
-	Autoscale *autoscale.Autoscaler
+	// Autoscale enables pool scaling — the same Scaler the simulator
+	// takes, evaluated here on the wall clock. Drive evaluations with
+	// Runtime.AutoscaleStep.
+	Autoscale autoscale.Scaler
 	// Admission, when set, gates submissions behind per-tenant quotas: a
 	// submission over its tenant's in-flight cap is registered but held
 	// invisible to the scheduler until completions free a slot and
@@ -1030,7 +1030,7 @@ func (rt *Runtime) CurrentVersion(h *Handle) deps.Version {
 	return rt.proc.CurrentVersion(h.id)
 }
 
-// AutoscaleStep runs one cost-aware autoscale evaluation against the
+// AutoscaleStep runs one autoscale evaluation against the
 // engine's current signals and applies the decision — the live
 // counterpart of Sim.AutoscaleStep, down to the trace events, so the
 // parity suite can compare decision sequences one-to-one. Grown and

@@ -36,7 +36,7 @@ type Config struct {
 	// Autoscale, when set, cordons its downscale victims through the
 	// engine, so the drain lands on the scheduler's books (and the trace)
 	// before removal.
-	Autoscale *autoscale.Autoscaler
+	Autoscale autoscale.Scaler
 	// Values, when set, attaches backend values to the catalog rows of
 	// every capture: the live runtime's encoded task outputs. Nil on the
 	// simulator.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/autoscale"
 	"repro/internal/deps"
 	"repro/internal/engine/faults"
 	"repro/internal/infra"
@@ -499,12 +500,13 @@ func E11Elasticity(burst int) ([]E11Result, error) {
 
 	// Elastic: start empty, grow to ≤ 8, shrink when idle.
 	prov := resources.NewSimProvider("vm", desc, 8, 30*time.Second)
-	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{
-		MaxNodes: 8, TasksPerCore: 0.5, IdleCoresToShrink: 0,
-	})
+	scaler := autoscale.Legacy{
+		Manager:      resources.NewElasticManager(prov, resources.ScalePolicy{MaxNodes: 8}),
+		TasksPerCore: 0.5,
+	}
 	elRes, err := mustRun(infra.Config{
 		Pool: resources.NewPool(), Net: simnet.New(simnet.Link{BandwidthMBps: 1000}),
-		Policy: sched.MinLoad{}, Elastic: mgr, ElasticEvery: 15 * time.Second,
+		Policy: sched.MinLoad{}, Autoscale: scaler, ElasticEvery: 15 * time.Second,
 	}, mkSpecs())
 	if err != nil {
 		return nil, err

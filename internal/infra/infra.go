@@ -124,14 +124,12 @@ type Config struct {
 	// mid-run (experiment E14). Run returns ErrHalted with the partial
 	// result.
 	HaltAt time.Duration
-	// Elastic enables pool scaling through the manager.
-	Elastic *resources.ElasticManager
-	// ElasticEvery is the evaluation period (default 10s).
+	// ElasticEvery is the Autoscale evaluation period (default 10s).
 	ElasticEvery time.Duration
-	// Autoscale enables cost-aware scaling across heterogeneous tiers;
-	// evaluated on the same ElasticEvery period. Mutually exclusive with
-	// Elastic — the autoscaler owns every variant's ElasticManager.
-	Autoscale *autoscale.Autoscaler
+	// Autoscale, when set, scales the pool every ElasticEvery: the
+	// cost-aware autoscaler across heterogeneous tiers, or the legacy
+	// single-tier rule (autoscale.Legacy).
+	Autoscale autoscale.Scaler
 	// Admission, when set, gates task visibility behind per-tenant
 	// quotas: a task over its tenant's in-flight cap waits (via the same
 	// synthetic-hold mechanism as Release) until completions free a slot
@@ -224,6 +222,11 @@ type Sim struct {
 	halted        bool
 	err           error
 
+	// ticks counts the housekeeping events armed through tick and not yet
+	// fired; scaling reports whether the scaler can still act (see tick).
+	ticks   int
+	scaling bool
+
 	// Restore-time re-staging traffic (persist tier → live node); added
 	// to the engine's transfer books when the run closes, so an eager
 	// re-stage is not accounted as free relative to a demand fetch.
@@ -256,9 +259,6 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 	if cfg.ElasticEvery <= 0 {
 		cfg.ElasticEvery = 10 * time.Second
 	}
-	if cfg.Elastic != nil && cfg.Autoscale != nil {
-		return nil, fmt.Errorf("%w: Elastic and Autoscale are mutually exclusive", ErrConfig)
-	}
 	if cfg.Admission != nil && cfg.Admission.Quota().MaxQueued > 0 {
 		return nil, fmt.Errorf("%w: the simulator requires an unbounded admission queue (Quota.MaxQueued == 0)", ErrConfig)
 	}
@@ -278,6 +278,7 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 		proc:      deps.NewProcessor(procOpts...),
 		nodeAdded: make(map[string]time.Duration),
 		remaining: len(specs),
+		scaling:   cfg.Autoscale != nil,
 	}
 	if cfg.Admission != nil {
 		s.tenantOf = make(map[int64]string, len(specs))
@@ -384,31 +385,31 @@ func New(cfg Config, specs []TaskSpec) (*Sim, error) {
 	for _, n := range cfg.Pool.Nodes() {
 		s.nodeAdded[n.Name()] = 0
 	}
-	if cfg.Elastic != nil {
-		// Downscale victims are cordoned through the engine, so the drain
-		// lands on the scheduler's books (and the trace) before removal.
-		cfg.Elastic.SetCordon(s.Engine().DrainNode)
-	}
 	if cfg.Restore != nil {
 		s.applyRestore(cfg.Restore)
 	}
 	return s, nil
 }
 
-// ckptTimer adapts the virtual clock for interval checkpoints, gating
-// each firing on simulation liveness: when a checkpoint event pops and
-// nothing else is scheduled, the run has drained, halted or wedged, and
-// firing (which would save and re-arm) would keep the event heap
-// non-empty forever — masking the ErrStuck detection, which relies on
-// the clock draining. Dropping the callback ends the interval chain;
-// completions still pending in the heap mean the run is alive and the
-// chain continues.
+// ckptTimer arms interval checkpoints as housekeeping ticks.
 type ckptTimer struct{ s *Sim }
 
 // At implements checkpoint.Timer.
-func (t ckptTimer) At(at time.Duration, fn func()) {
-	t.s.clock.At(at, func() {
-		if t.s.remaining == 0 || t.s.halted || t.s.clock.Pending() == 0 {
+func (t ckptTimer) At(at time.Duration, fn func()) { t.s.tick(at, fn) }
+
+// tick arms fn at virtual instant at as a housekeeping event: one firing
+// of a periodic job (interval checkpoint, metrics sample, scaling
+// evaluation) that re-arms itself through tick. Housekeeping changes
+// nothing a task waits on, so a firing is dropped, ending its job's
+// chain, once the run has drained or halted, or when the heap holds
+// nothing but housekeeping and no scaler can still act. Re-arming then
+// would keep the virtual clock ticking forever and mask the ErrStuck
+// that the drained heap reports.
+func (s *Sim) tick(at time.Duration, fn func()) {
+	s.ticks++
+	s.clock.At(at, func() {
+		s.ticks--
+		if s.remaining == 0 || s.halted || (!s.scaling && s.clock.Pending() == s.ticks) {
 			return
 		}
 		fn()
@@ -630,21 +631,18 @@ func (s *Sim) Run() (Result, error) {
 	for _, id := range s.admitStart {
 		s.admitRelease(id)
 	}
-	// Arm elasticity (legacy single-tier manager or cost-aware
-	// autoscaler — New rejects configs with both).
-	if s.cfg.Elastic != nil || s.cfg.Autoscale != nil {
-		step := s.elasticStep
-		if s.cfg.Autoscale != nil {
-			step = func() { s.AutoscaleStep() }
-		}
-		var tick func()
-		tick = func() {
-			if s.remaining > 0 {
-				step()
-				s.clock.After(s.cfg.ElasticEvery, tick)
+	// Arm scaling. A step that holds while the heap has no work left
+	// means the scaler cannot act again: nothing it reads can change.
+	if s.scaling {
+		var scale func()
+		scale = func() {
+			if s.AutoscaleStep().Kind == autoscale.Held && s.clock.Pending() == s.ticks {
+				s.scaling = false
+				return
 			}
+			s.tick(s.clock.Now()+s.cfg.ElasticEvery, scale)
 		}
-		s.clock.After(s.cfg.ElasticEvery, tick)
+		s.tick(s.cfg.ElasticEvery, scale)
 	}
 
 	// Arm the simulated process death.
@@ -652,20 +650,14 @@ func (s *Sim) Run() (Result, error) {
 		s.clock.At(s.cfg.HaltAt, func() { s.halted = true })
 	}
 
-	// Arm metric sampling on the virtual clock. Gated on liveness the
-	// same way as ckptTimer: when a sampling event pops with nothing else
-	// pending, the run has drained or wedged, and re-arming would keep
-	// the event heap alive forever, masking ErrStuck.
+	// Arm metric sampling on the virtual clock.
 	if s.smp != nil {
-		var tick func()
-		tick = func() {
-			if s.remaining == 0 || s.halted || s.clock.Pending() == 0 {
-				return
-			}
+		var sample func()
+		sample = func() {
 			s.smp.Sample(s.clock.Now())
-			s.clock.After(s.cfg.SampleEvery, tick)
+			s.tick(s.clock.Now()+s.cfg.SampleEvery, sample)
 		}
-		s.clock.After(s.cfg.SampleEvery, tick)
+		s.tick(s.cfg.SampleEvery, sample)
 	}
 
 	s.Engine().Schedule()
@@ -735,62 +727,10 @@ func (s *Sim) FailNode(name string) (engine.FailReport, error) {
 	return rep, err
 }
 
-// elasticStep applies one elasticity evaluation.
-func (s *Sim) elasticStep() {
-	pending := s.Engine().ReadyCount()
-	switch s.cfg.Elastic.Evaluate(s.cfg.Pool, pending) {
-	case resources.Grow:
-		// A node mid-drain is the cheapest capacity there is: lift its
-		// cordon instead of paying the provider's provisioning delay.
-		if n := s.cfg.Elastic.Reclaim(); n != nil {
-			s.cfg.Tracer.Record(trace.Event{At: s.clock.Now(), Kind: trace.NodeUndrained, Node: n.Name()})
-			// The reclaimed node may sit on the reachable side of a
-			// partition: re-validate parked work along with the wave.
-			s.Engine().RevalidateAvailability()
-			return
-		}
-		node, delay, err := s.cfg.Elastic.GrowOne(s.cfg.Pool)
-		if err != nil {
-			return
-		}
-		s.nodeAdded[node.Name()] = s.clock.Now()
-		if s.cfg.Pool.Len() > s.result.PeakNodes {
-			s.result.PeakNodes = s.cfg.Pool.Len()
-		}
-		s.cfg.Tracer.Record(trace.Event{At: s.clock.Now(), Kind: trace.NodeAdded, Node: node.Name()})
-		// Model the provisioning delay by blocking the whole node.
-		hold := resources.Constraints{
-			Cores:    node.Desc().Cores,
-			MemoryMB: node.Desc().MemoryMB,
-			GPUs:     node.Desc().GPUs,
-		}
-		if err := node.Reserve(hold); err == nil {
-			s.clock.After(delay, func() {
-				node.Release(hold)
-				// Grown capacity may be the first node that can reach a
-				// parked task's data: re-validate along with the wave.
-				s.Engine().RevalidateAvailability()
-			})
-		}
-	case resources.Shrink:
-		victim, err := s.cfg.Elastic.ShrinkOne(s.cfg.Pool)
-		if err != nil || victim == nil {
-			return
-		}
-		added := s.nodeAdded[victim.Name()]
-		span := s.clock.Now() - added
-		s.acct.SetSpan(victim.Name(), victim.Desc(), span)
-		s.result.NodeSeconds += span.Seconds()
-		delete(s.nodeAdded, victim.Name())
-		s.cfg.Tracer.Record(trace.Event{At: s.clock.Now(), Kind: trace.NodeRemoved, Node: victim.Name()})
-	case resources.Hold:
-	}
-}
-
-// AutoscaleStep runs one cost-aware autoscale evaluation against the
-// engine's current signals and applies the decision, with the same
-// provisioning-delay modelling and node-seconds bookkeeping as
-// elasticStep. Run arms it on the ElasticEvery period; it is exported
+// AutoscaleStep runs one scaling evaluation against the engine's current
+// signals and applies the decision, modelling the provisioning delay and
+// keeping the node-seconds books. Run arms it on the ElasticEvery
+// period; it is exported
 // so tests (the sim-vs-live parity suite in particular) can drive
 // evaluations at instants they control instead of riding the ticker.
 func (s *Sim) AutoscaleStep() autoscale.Action {

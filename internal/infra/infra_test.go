@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/autoscale"
 	"repro/internal/deps"
 	"repro/internal/engine/faults"
 	"repro/internal/mlpredict"
@@ -328,9 +329,10 @@ func TestElasticityGrowsAndShrinks(t *testing.T) {
 	prov := resources.NewSimProvider("cloud", resources.Description{
 		Cores: 4, MemoryMB: 8000, SpeedFactor: 1,
 	}, 8, 5*time.Second)
-	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{
-		MaxNodes: 8, TasksPerCore: 1, IdleCoresToShrink: 0,
-	})
+	scaler := autoscale.Legacy{
+		Manager:      resources.NewElasticManager(prov, resources.ScalePolicy{MaxNodes: 8}),
+		TasksPerCore: 1,
+	}
 	pool := resources.NewPool() // starts empty: fully elastic
 	var specs []TaskSpec
 	for i := int64(0); i < 64; i++ {
@@ -338,7 +340,7 @@ func TestElasticityGrowsAndShrinks(t *testing.T) {
 	}
 	cfg := Config{
 		Pool: pool, Net: flatNet(), Policy: sched.FIFO{},
-		Elastic: mgr, ElasticEvery: 2 * time.Second,
+		Autoscale: scaler, ElasticEvery: 2 * time.Second,
 	}
 	sim, err := New(cfg, specs)
 	if err != nil {
@@ -435,18 +437,17 @@ func TestShrinkNeverKillsRunningWork(t *testing.T) {
 	prov := resources.NewSimProvider("vm", resources.Description{
 		Cores: 8, MemoryMB: 8000, SpeedFactor: 1,
 	}, 1, 2*time.Second)
-	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{
-		MaxNodes: 1, TasksPerCore: 2, IdleCoresToShrink: 0,
-	})
+	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{MaxNodes: 1})
 	tr := trace.New()
 	// One long task on a fully elastic pool: while it runs, pending drops
 	// to zero and 7 of 8 cores idle, so every elastic tick decides Shrink.
 	sim, err := New(Config{
-		Pool:    resources.NewPool(),
-		Net:     flatNet(),
-		Policy:  sched.FIFO{},
-		Tracer:  tr,
-		Elastic: mgr, ElasticEvery: 5 * time.Second,
+		Pool:         resources.NewPool(),
+		Net:          flatNet(),
+		Policy:       sched.FIFO{},
+		Tracer:       tr,
+		Autoscale:    autoscale.Legacy{Manager: mgr, TasksPerCore: 2},
+		ElasticEvery: 5 * time.Second,
 	}, []TaskSpec{{ID: 1, Class: "long", Duration: time.Minute}})
 	if err != nil {
 		t.Fatal(err)
@@ -484,9 +485,7 @@ func TestReclaimDuringDrainServesNewLoad(t *testing.T) {
 	prov := resources.NewSimProvider("vm", resources.Description{
 		Cores: 4, MemoryMB: 8000, SpeedFactor: 1,
 	}, 1, 2*time.Second)
-	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{
-		MaxNodes: 1, TasksPerCore: 2, IdleCoresToShrink: 0,
-	})
+	mgr := resources.NewElasticManager(prov, resources.ScalePolicy{MaxNodes: 1})
 	tr := trace.New()
 	specs := []TaskSpec{
 		{ID: 1, Class: "long", Duration: 30 * time.Second},
@@ -496,11 +495,12 @@ func TestReclaimDuringDrainServesNewLoad(t *testing.T) {
 		{ID: 2, Class: "late", Duration: 10 * time.Second, Release: 12 * time.Second},
 	}
 	sim, err := New(Config{
-		Pool:    resources.NewPool(),
-		Net:     flatNet(),
-		Policy:  sched.FIFO{},
-		Tracer:  tr,
-		Elastic: mgr, ElasticEvery: 5 * time.Second,
+		Pool:         resources.NewPool(),
+		Net:          flatNet(),
+		Policy:       sched.FIFO{},
+		Tracer:       tr,
+		Autoscale:    autoscale.Legacy{Manager: mgr, TasksPerCore: 2},
+		ElasticEvery: 5 * time.Second,
 	}, specs)
 	if err != nil {
 		t.Fatal(err)

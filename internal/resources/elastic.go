@@ -74,55 +74,23 @@ func (s *SimProvider) Granted() int {
 	return s.granted
 }
 
-// ScalePolicy tunes the elasticity decision.
+// ScalePolicy bounds and prices the nodes one ElasticManager acquires.
 type ScalePolicy struct {
 	// MinNodes and MaxNodes bound the elastic part of the pool.
 	MinNodes, MaxNodes int
-	// TasksPerCore is the pending-work threshold that triggers growth:
-	// grow while pending tasks > TasksPerCore × current cores.
-	TasksPerCore float64
-	// IdleCoresToShrink triggers shrink when free cores exceed it and
-	// nothing is pending.
-	IdleCoresToShrink int
 	// CostPerNodeHour prices one node of this manager's tier in abstract
 	// cost units per hour — the tier-aware signal the cost-scoring
-	// autoscaler (internal/autoscale) ranks variants by. ElasticManager
-	// itself never reads it: legacy Evaluate stays cost-blind, which is
-	// exactly the baseline the autoscale benchmarks compare against.
+	// autoscaler (internal/autoscale) ranks variants by. The legacy
+	// cost-blind rule (autoscale.Legacy) never reads it, which is exactly
+	// the baseline the autoscale benchmarks compare against.
 	CostPerNodeHour float64
 }
 
-// ScaleDecision is the outcome of an elasticity evaluation.
-type ScaleDecision int
-
-// Elasticity outcomes.
-const (
-	// Hold keeps the pool as is.
-	Hold ScaleDecision = iota + 1
-	// Grow acquires one more node.
-	Grow
-	// Shrink releases one idle node.
-	Shrink
-)
-
-// String returns the decision name.
-func (d ScaleDecision) String() string {
-	switch d {
-	case Hold:
-		return "hold"
-	case Grow:
-		return "grow"
-	case Shrink:
-		return "shrink"
-	default:
-		return fmt.Sprintf("ScaleDecision(%d)", int(d))
-	}
-}
-
-// ElasticManager implements COMPSs-style elasticity: it watches load and
-// acquires/releases nodes through a Provider. Decisions are pure
-// (Evaluate); application is explicit (GrowOne / ShrinkOne) so both the
-// simulator (virtual time) and the live runtime (wall time) can drive it.
+// ElasticManager implements COMPSs-style elasticity: it acquires and
+// releases nodes through a Provider. It decides nothing: a scaling
+// policy (internal/autoscale) picks the move, and application is
+// explicit (GrowOne / ShrinkOne / Reclaim) so both the simulator (virtual
+// time) and the live runtime (wall time) can drive it.
 //
 // Downscaling is a drain-then-remove cycle: ShrinkOne first cordons its
 // victim (no new placements land on it) and removes it only once every
@@ -191,36 +159,6 @@ func (m *ElasticManager) DrainedCount() int {
 		}
 	}
 	return n
-}
-
-// Evaluate decides whether the pool should grow, shrink or hold, given the
-// number of pending (unscheduled) tasks.
-func (m *ElasticManager) Evaluate(pool *Pool, pendingTasks int) ScaleDecision {
-	m.mu.Lock()
-	n := len(m.elastic)
-	drains := len(m.draining)
-	m.mu.Unlock()
-
-	// Pending work while a node is mid-drain: grow by reclaiming it. The
-	// node is already counted against MaxNodes, so this must not be gated
-	// on n < MaxNodes — otherwise a drained pool wedges under load.
-	if pendingTasks > 0 && drains > 0 {
-		return Grow
-	}
-	cores := pool.TotalCores()
-	if cores == 0 {
-		if pendingTasks > 0 && n < m.policy.MaxNodes {
-			return Grow
-		}
-		return Hold
-	}
-	if float64(pendingTasks) > m.policy.TasksPerCore*float64(cores) && n < m.policy.MaxNodes {
-		return Grow
-	}
-	if pendingTasks == 0 && n > m.policy.MinNodes && pool.FreeCores() > m.policy.IdleCoresToShrink {
-		return Shrink
-	}
-	return Hold
 }
 
 // Reclaim cancels one pending drain-then-remove cycle: the cordon is

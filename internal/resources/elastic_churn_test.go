@@ -37,7 +37,7 @@ func TestElasticChurnProperty(t *testing.T) {
 			}
 			m := NewElasticManager(
 				NewSimProvider("fog", FogDevice, maxNodes, 0),
-				ScalePolicy{MaxNodes: maxNodes, TasksPerCore: 2},
+				ScalePolicy{MaxNodes: maxNodes},
 			)
 
 			// Outstanding unit reservations per node name (the node may

@@ -173,56 +173,9 @@ func TestSimProviderLimit(t *testing.T) {
 	}
 }
 
-func TestElasticGrowAndShrink(t *testing.T) {
-	prov := NewSimProvider("cloud", CloudVM, 8, 0)
-	mgr := NewElasticManager(prov, ScalePolicy{MaxNodes: 4, TasksPerCore: 1, IdleCoresToShrink: 0})
-	pool := NewPool()
-
-	// Empty pool + pending work ⇒ grow.
-	if d := mgr.Evaluate(pool, 10); d != Grow {
-		t.Fatalf("decision = %v, want grow", d)
-	}
-	n, _, err := mgr.GrowOne(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.Len() != 1 || mgr.ElasticCount() != 1 {
-		t.Fatal("grow did not register node")
-	}
-
-	// Massive backlog ⇒ keep growing until MaxNodes.
-	grew := 1
-	for mgr.Evaluate(pool, 1000) == Grow {
-		if _, _, err := mgr.GrowOne(pool); err != nil {
-			t.Fatal(err)
-		}
-		grew++
-	}
-	if grew != 4 {
-		t.Fatalf("grew to %d nodes, want MaxNodes=4", grew)
-	}
-
-	// Idle ⇒ shrink back down to MinNodes.
-	shrunk := 0
-	for mgr.Evaluate(pool, 0) == Shrink {
-		v, err := mgr.ShrinkOne(pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v == nil {
-			break
-		}
-		shrunk++
-	}
-	if shrunk != 4 || pool.Len() != 0 {
-		t.Fatalf("shrunk %d, pool %d nodes", shrunk, pool.Len())
-	}
-	_ = n
-}
-
 func TestShrinkNeverRemovesBusyNodes(t *testing.T) {
 	prov := NewSimProvider("cloud", CloudVM, 4, 0)
-	mgr := NewElasticManager(prov, ScalePolicy{MaxNodes: 4, IdleCoresToShrink: 0})
+	mgr := NewElasticManager(prov, ScalePolicy{MaxNodes: 4})
 	pool := NewPool()
 	n1, _, _ := mgr.GrowOne(pool)
 	if err := n1.Reserve(Constraints{Cores: 1}); err != nil {
@@ -288,7 +241,7 @@ func TestClassString(t *testing.T) {
 // only removed once its running work has released — never killed.
 func TestShrinkDrainsBusyNodeBeforeRemoval(t *testing.T) {
 	prov := NewSimProvider("cloud", CloudVM, 4, 0)
-	mgr := NewElasticManager(prov, ScalePolicy{MaxNodes: 4, IdleCoresToShrink: 0})
+	mgr := NewElasticManager(prov, ScalePolicy{MaxNodes: 4})
 	pool := NewPool()
 	n1, _, _ := mgr.GrowOne(pool)
 	work := Constraints{Cores: 1}
@@ -333,41 +286,10 @@ func TestShrinkDrainsBusyNodeBeforeRemoval(t *testing.T) {
 	}
 }
 
-// A load spike mid-drain reclaims the cordoned node instead of paying the
-// provider for a new one.
-func TestReclaimCancelsDrain(t *testing.T) {
-	prov := NewSimProvider("cloud", CloudVM, 1, 0)
-	mgr := NewElasticManager(prov, ScalePolicy{MaxNodes: 1, TasksPerCore: 1, IdleCoresToShrink: 0})
-	pool := NewPool()
-	n1, _, _ := mgr.GrowOne(pool)
-	work := Constraints{Cores: 1}
-	if err := n1.Reserve(work); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := mgr.ShrinkOne(pool); v != nil {
-		t.Fatalf("removed busy node %s", v.Name())
-	}
-	// Pending work + a draining node ⇒ Grow, even at MaxNodes.
-	if d := mgr.Evaluate(pool, 5); d != Grow {
-		t.Fatalf("decision = %v, want grow (reclaim)", d)
-	}
-	n := mgr.Reclaim()
-	if n == nil || n.Name() != n1.Name() {
-		t.Fatalf("reclaimed %v, want %s", n, n1.Name())
-	}
-	if n1.Drained() || mgr.DrainingCount() != 0 {
-		t.Fatal("reclaimed node still cordoned")
-	}
-	n1.Release(work)
-	if err := n1.Reserve(work); err != nil {
-		t.Fatalf("reclaimed node refuses work: %v", err)
-	}
-}
-
 // The cordon hook (engine DrainNode in production) sees every victim.
 func TestShrinkUsesCordonHook(t *testing.T) {
 	prov := NewSimProvider("cloud", CloudVM, 1, 0)
-	mgr := NewElasticManager(prov, ScalePolicy{MaxNodes: 1, IdleCoresToShrink: 0})
+	mgr := NewElasticManager(prov, ScalePolicy{MaxNodes: 1})
 	pool := NewPool()
 	n1, _, _ := mgr.GrowOne(pool)
 	var cordoned []string

@@ -153,12 +153,16 @@ func runAutoscaleArm(tr *wtrace.Trace, costAware bool, every time.Duration) (Aut
 		cfg.Autoscale = scaler
 	} else {
 		// The legacy baseline scales the cloud tier only, with the
-		// cost-blind Evaluate: same growth threshold, shrink once a whole
+		// cost-blind rule: same growth threshold, shrink once a whole
 		// VM's worth of cores idles.
-		cfg.Elastic = resources.NewElasticManager(
-			resources.NewSimProvider("cloud", resources.CloudVM, 8, 30*time.Second),
-			resources.ScalePolicy{MaxNodes: 8, TasksPerCore: 2, IdleCoresToShrink: 8, CostPerNodeHour: benchCloudRate},
-		)
+		cfg.Autoscale = autoscale.Legacy{
+			Manager: resources.NewElasticManager(
+				resources.NewSimProvider("cloud", resources.CloudVM, 8, 30*time.Second),
+				resources.ScalePolicy{MaxNodes: 8, CostPerNodeHour: benchCloudRate},
+			),
+			TasksPerCore:      2,
+			IdleCoresToShrink: 8,
+		}
 	}
 	sim, err := infra.New(cfg, tr.Specs())
 	if err != nil {
@@ -188,7 +192,7 @@ func benchVariant(name string, desc resources.Description, rate float64, delay t
 		Desc: desc,
 		Manager: resources.NewElasticManager(
 			resources.NewSimProvider(name, desc, max, delay),
-			resources.ScalePolicy{MaxNodes: max, TasksPerCore: 2, CostPerNodeHour: rate},
+			resources.ScalePolicy{MaxNodes: max, CostPerNodeHour: rate},
 		),
 	}
 }

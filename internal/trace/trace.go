@@ -20,8 +20,6 @@ type Kind string
 // Event kinds emitted by the runtime and the simulator.
 const (
 	TaskSubmitted Kind = "task_submitted"
-	TaskReady     Kind = "task_ready"
-	TaskScheduled Kind = "task_scheduled"
 	TaskStarted   Kind = "task_started"
 	TaskStolen    Kind = "task_stolen"
 	TaskCompleted Kind = "task_completed"
